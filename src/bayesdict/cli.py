@@ -277,6 +277,8 @@ def cmd_train(args) -> int:
         report.metrics["iterations_run"] = mcfg.max_iters
         report.metrics["kept_samples"] = len(trace.kept_dicts)
         report.metrics["final_residual"] = trace.residual_per_iter[-1]
+        report.metrics["dense_fallback_columns"] = \
+            sum(trace.dense_fallback_per_iter)
     else:
         state, trace = run_vb(mcfg, data,
                               variant="full" if engine == "vb-full"

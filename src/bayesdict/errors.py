@@ -43,7 +43,7 @@ class NegativeResidual(BayesdictError):
 
 
 class NonFinite(BayesdictError):
-    """A bound or log-determinant evaluated to a non-finite value."""
+    """A bound, log-determinant or sampler state became non-finite."""
 
 
 # --- shapes ---

@@ -8,6 +8,7 @@ tautology.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy import stats
 from scipy.special import gammaln
 
@@ -84,6 +85,27 @@ def code_conditional_moments(D, alpha_col, gamma, y):
     Sigma = np.linalg.inv(P)
     mean = gamma * (Sigma @ (D.T @ y))
     return mean, Sigma
+
+
+def sample_codes_dense(state, data, normals=None):
+    """Per-column coefficient-space draw of every code column.
+
+    Column l factors its own N x N precision P = g D'D + diag(alpha_l) and
+    returns P^-1 g D'y_l + L^-T z_l, L the lower Cholesky factor. normals
+    (N x L) supplies z; without it each column draws N fresh normals from
+    state.rng, in column order.
+    """
+    D, gamma = state.D, state.gamma
+    N = D.shape[1]
+    G = gamma * (D.T @ D)
+    for l in range(data.L):
+        P = G + np.diag(state.alpha[:, l])
+        chol = scipy.linalg.cholesky(P, lower=True)
+        mean = scipy.linalg.cho_solve((chol, True),
+                                      gamma * (D.T @ data.Y[:, l]))
+        z = state.rng.standard_normal(N) if normals is None else normals[:, l]
+        state.X[:, l] = mean + scipy.linalg.solve_triangular(
+            chol, z, lower=True, trans=1)
 
 
 def atom_conditional_moments(D, X, Y, gamma, beta, n):

@@ -56,6 +56,7 @@ def bench_cell_rates(out_dir):
 # 1-3: synthetic recovery benchmarks (full-scale, minutes)
 
 
+@pytest.mark.slow
 def test_criterion_1_gibbs_recovery(tmp_path):
     out = tmp_path / "gibbs"
     rc = main(["bench-synthetic", "--engine", "gibbs", "--iters", "300",
@@ -66,6 +67,7 @@ def test_criterion_1_gibbs_recovery(tmp_path):
           f"mean success over 5 seeds = {mean:.4f}, require >= 0.90")
 
 
+@pytest.mark.slow
 def test_criterion_2_vb_recovery(tmp_path):
     out = tmp_path / "vb"
     rc = main(["bench-synthetic", "--engine", "vb-full", "--iters", "300",
@@ -76,6 +78,7 @@ def test_criterion_2_vb_recovery(tmp_path):
           f"mean success over 5 seeds = {mean:.4f}, require >= 0.85")
 
 
+@pytest.mark.slow
 def test_criterion_3_hard_regime_cliff(tmp_path):
     cfg = tmp_path / "cliff.cfg"
     cfg.write_text("snr_grid = 10 30\nk_grid = 5\n")
@@ -302,6 +305,7 @@ def test_criterion_6_mod_equivalence():
 # 7: denoising regression on the cameraman crop
 
 
+@pytest.mark.slow
 def test_criterion_7_denoising(tmp_path):
     skimage_data = pytest.importorskip("skimage.data")
     clean = skimage_data.camera()[192:320, 192:320].astype(np.float64)

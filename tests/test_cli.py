@@ -73,6 +73,24 @@ def test_bench_writes_tables_and_report(tmp_path, capsys):
     assert "wall_time_seconds" in printed
 
 
+def test_bench_records_diverged_gibbs_trial_as_nonfinite(tmp_path,
+                                                       monkeypatch):
+    from bayesdict import gibbs
+
+    def nan_gamma(state, data, cfg):
+        state.gamma = float("nan")
+
+    monkeypatch.setattr(gibbs, "sample_gamma", nan_gamma)
+    cfg = tmp_path / "bench.cfg"
+    write_bench_cfg(cfg)
+    out = tmp_path / "run"
+    assert run_cli("bench-synthetic", "--config", str(cfg),
+                   "--out", str(out)) == 0
+    trials = (out / "bench_trials.tsv").read_text().strip().split("\n")[1:]
+    assert [t.split("\t")[6] for t in trials] == ["error:NonFinite"] * 2
+    assert "trials_failed\t2" in (out / "report.txt").read_text()
+
+
 def test_bench_engine_default_beta_for_vb(tmp_path):
     cfg = tmp_path / "bench.cfg"
     write_bench_cfg(cfg, engine="vb-full")
@@ -142,6 +160,7 @@ def test_train_gibbs_on_matrix(tmp_path):
     assert "input_kind = matrix" in echoed  # decided kind, not "auto"
     report = (out / "report.txt").read_text()
     assert "final_residual" in report
+    assert "dense_fallback_columns\t" in report
     assert "signals\t60" in report
 
 
