@@ -130,14 +130,27 @@ def _model_config(resolved: dict, seed: int) -> ModelConfig:
     )
 
 
+def _resolve_engine_command(args, schema_for) -> tuple[str, dict]:
+    """Shared preamble of the engine commands: read --config, settle the
+    engine, then layer schema defaults, file values and flags."""
+    file_values = parse_config_file(args.config) if args.config else {}
+    engine = _peek_engine(file_values, args.engine)
+    flags = {"engine": args.engine, "seed": args.seed,
+             "iters": args.iters, "burn_in": args.burn_in}
+    resolved = resolve(schema_for(engine), file_values, flags,
+                       args.config or "<defaults>")
+    return engine, resolved
+
+
 def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
-    """Returns (dictionary estimate, engine trace)."""
+    """Returns (dictionary estimate, engine trace, final engine state)."""
     if engine == "gibbs":
-        trace, _ = run_gibbs(mcfg, data)
-        return estimate_dictionary(trace, mcfg.dict_estimate_mode), trace
+        trace, state = run_gibbs(mcfg, data)
+        D = estimate_dictionary(trace, mcfg.dict_estimate_mode)
+        return D, trace, state
     state, trace = run_vb(mcfg, data,
                           variant="full" if engine == "vb-full" else "atomwise")
-    return state.dict_mean, (state, trace)
+    return state.dict_mean, trace, state
 
 
 def _write_report(out_dir: Path, report: RunReport) -> None:
@@ -156,12 +169,7 @@ def _print_summary(report: RunReport, out_dir: Path, wall: float) -> None:
 
 def cmd_bench_synthetic(args) -> int:
     t0 = time.perf_counter()
-    file_values = parse_config_file(args.config) if args.config else {}
-    source = args.config or "<defaults>"
-    engine = _peek_engine(file_values, args.engine)
-    flags = {"engine": args.engine, "seed": args.seed,
-             "iters": args.iters, "burn_in": args.burn_in}
-    resolved = resolve(_bench_schema(engine), file_values, flags, source)
+    engine, resolved = _resolve_engine_command(args, _bench_schema)
     if resolved["trials"] < 1:
         raise ConfigParseError("trials must be >= 1")
     if not (resolved["L_grid"] and resolved["snr_grid"] and resolved["k_grid"]):
@@ -229,7 +237,7 @@ def _bench_trial(resolved: dict, engine: str, L: int, snr: float, k,
                          sparsity=k, snr_db=snr, seed=seed)
     D_true, _, Y, _ = generate_synthetic(spec)
     data = TrainingSet.from_matrix(Y)
-    D_hat, _ = _fit(engine, _model_config(resolved, seed), data)
+    D_hat, _, _ = _fit(engine, _model_config(resolved, seed), data)
     return match_and_score(D_true, D_hat,
                            resolved["success_threshold"]).success_rate
 
@@ -253,12 +261,7 @@ def _load_training_input(resolved: dict) -> tuple[np.ndarray, str]:
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    file_values = parse_config_file(args.config) if args.config else {}
-    source = args.config or "<defaults>"
-    engine = _peek_engine(file_values, args.engine)
-    flags = {"engine": args.engine, "seed": args.seed,
-             "iters": args.iters, "burn_in": args.burn_in}
-    resolved = resolve(_train_schema(engine), file_values, flags, source)
+    engine, resolved = _resolve_engine_command(args, _train_schema)
     Y, kind = _load_training_input(resolved)
     resolved["input_kind"] = kind  # echo the decided kind, not "auto"
     data = TrainingSet.from_matrix(Y)
@@ -267,9 +270,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(config_echo=resolved)
+    D, trace, state = _fit(engine, mcfg, data)
     if engine == "gibbs":
-        trace, state = run_gibbs(mcfg, data)
-        D = estimate_dictionary(trace, mcfg.dict_estimate_mode)
         lines = ["iter\tresidual\tgamma"]
         for i, (r, g) in enumerate(zip(trace.residual_per_iter,
                                        trace.gamma_per_iter), start=1):
@@ -280,10 +282,6 @@ def cmd_train(args) -> int:
         report.metrics["dense_fallback_columns"] = \
             sum(trace.dense_fallback_per_iter)
     else:
-        state, trace = run_vb(mcfg, data,
-                              variant="full" if engine == "vb-full"
-                              else "atomwise")
-        D = state.dict_mean
         lines = ["iter\telbo\tdict_change"]
         for i, (e, ch) in enumerate(zip(trace.elbo, trace.dict_change),
                                     start=1):

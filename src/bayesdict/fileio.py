@@ -119,6 +119,8 @@ def load_matrix(path) -> np.ndarray:
                 values.append([float(v) for v in line.split()])
             except ValueError as exc:
                 raise MalformedHeader(f"bad matrix value: {exc}") from exc
+    if cols == 0 and not values:
+        return np.empty((rows, 0))  # zero-width rows are written as blank lines
     if len(values) != rows or any(len(r) != cols for r in values):
         raise MalformedHeader(
             f"matrix body does not match declared {rows}x{cols}")

@@ -81,20 +81,30 @@ class TrainingSet:
 class VBState:
     """Factorized posterior q(X) q(D) q(alpha) q(gamma).
 
-    code_means   : (N, L), column l is the posterior mean of x_l.
-    code_covs    : (L, N, N), per-column posterior covariances.
-    dict_mean    : (M, N) posterior mean <D>.
-    dict_row_cov : (N, N) covariance shared by all dictionary rows. The
-                   atomwise update variant stores diag(sigma_1^2, ...,
-                   sigma_N^2) here, so <D^T D> = <D>^T <D> + M * dict_row_cov
-                   holds for both variants.
-    alpha_shape  : scalar Gamma shape shared by all alpha_nl posteriors.
-    alpha_rates  : (N, L) per-coefficient Gamma rates.
+    q(x_l) = N(mu_l, Sigma_l) is kept only through the reductions of the
+    Sigma_l that the other updates read, so the state grows as N*L + N^2
+    rather than L*N^2:
+
+    code_means      : (N, L), column l is the posterior mean mu_l.
+    code_vars       : (N, L), column l is diag(Sigma_l), for <x_nl^2>.
+    code_cov_sum    : (N, N), sum_l Sigma_l, for <X X^T> and the
+                      expected residual.
+    code_logdet_sum : sum_l log det Sigma_l, for the code entropy.
+    dict_mean       : (M, N) posterior mean <D>.
+    dict_row_cov    : (N, N) covariance shared by all dictionary rows.
+                      The atomwise update variant stores
+                      diag(sigma_1^2, ..., sigma_N^2) here, so
+                      <D^T D> = <D>^T <D> + M * dict_row_cov holds for
+                      both variants.
+    alpha_shape     : scalar Gamma shape shared by all alpha_nl posteriors.
+    alpha_rates     : (N, L) per-coefficient Gamma rates.
     gamma_shape, gamma_rate : noise-precision Gamma posterior.
     """
 
     code_means: np.ndarray
-    code_covs: np.ndarray
+    code_vars: np.ndarray
+    code_cov_sum: np.ndarray
+    code_logdet_sum: float
     dict_mean: np.ndarray
     dict_row_cov: np.ndarray
     alpha_shape: float
@@ -181,7 +191,8 @@ def _init_dictionary(Y: np.ndarray, num_atoms: int,
 def initialize_vb_state(cfg: ModelConfig, data: TrainingSet) -> VBState:
     """Deterministic VB starting point; pure function of (cfg, data).
 
-    Codes start at zero with identity covariance; the alpha posterior is
+    Codes start at zero with identity covariance (unit variances, a
+    covariance sum of L * I, zero log-determinant); the alpha posterior is
     the alpha update applied to <x^2> = 1, and the gamma rate is set from
     the per-signal data energy so <gamma> starts at data scale.
     """
@@ -189,10 +200,11 @@ def initialize_vb_state(cfg: ModelConfig, data: TrainingSet) -> VBState:
     M, L = data.M, data.L
     rng = np.random.default_rng(cfg.seed)
     dict_mean = _init_dictionary(data.Y, N, rng)
-    code_covs = np.repeat(np.eye(N)[np.newaxis, :, :], L, axis=0)
     return VBState(
         code_means=np.zeros((N, L)),
-        code_covs=code_covs,
+        code_vars=np.ones((N, L)),
+        code_cov_sum=L * np.eye(N),
+        code_logdet_sum=0.0,
         dict_mean=dict_mean,
         dict_row_cov=1e-6 * np.eye(N),
         alpha_shape=cfg.a + 0.5,

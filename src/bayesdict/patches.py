@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageGap, ImageTooSmall, ShapeMismatch
+from .errors import (
+    CoverageGap,
+    ImageTooSmall,
+    NonPositiveHyperparameter,
+    ShapeMismatch,
+)
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,9 @@ class PatchGrid:
 def extract_patches(image: np.ndarray, patch_size: int = 8,
                     stride: int = 2) -> tuple[np.ndarray, PatchGrid]:
     """All patches on the stride grid as columns of a (p*p, P) matrix."""
+    for name, value in (("patch_size", patch_size), ("stride", stride)):
+        if value < 1:
+            raise NonPositiveHyperparameter(name, value, "a positive integer")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ShapeMismatch(f"expected a square image, got {image.shape}")

@@ -15,6 +15,12 @@ conjugate closed form:
 where <g> is the current noise-precision mean. The expected residual
 uses the exact second-moment expansion, not a plug-in of the means.
 
+The other updates read q(X) only through diag(Sigma_l) (for <x_nl^2>),
+sum_l Sigma_l (for <XX'>) and sum_l log det Sigma_l (for the entropy),
+so the state keeps those three reductions instead of the L x N x N
+stack of Sigma_l; update_codes fills them from one Cholesky factor of
+each column's precision.
+
 Two dictionary updates are provided: the whole-matrix form above and a
 sequential one-atom-at-a-time form whose per-atom covariance is a
 scalar times the identity. Both leave dict_row_cov in a shape where
@@ -58,14 +64,13 @@ class VBMoments:
 
 def code_second_moments(state: VBState) -> np.ndarray:
     """<x_nl^2> = mu_nl^2 + Sigma_l[n,n], as an (N, L) matrix."""
-    diag = np.einsum("lnn->ln", state.code_covs).T
-    return state.code_means ** 2 + diag
+    return state.code_means ** 2 + state.code_vars
 
 
 def moments_from_state(state: VBState) -> VBMoments:
     M = state.dict_mean.shape[0]
     x_mean = state.code_means
-    x_outer = x_mean @ x_mean.T + state.code_covs.sum(axis=0)
+    x_outer = x_mean @ x_mean.T + state.code_cov_sum
     x_outer = 0.5 * (x_outer + x_outer.T)
     dtd = state.dict_mean.T @ state.dict_mean + M * state.dict_row_cov
     dtd = 0.5 * (dtd + dtd.T)
@@ -106,7 +111,10 @@ def update_codes(state: VBState, data: TrainingSet) -> None:
     """Closed-form refresh of every per-column code posterior.
 
     Columns are independent given the dictionary moments, so this is a
-    loop of N x N SPD solves sharing the same <g><D'D> block.
+    loop of N x N SPD factorizations sharing the same <g><D'D> block.
+    Each Sigma_l is formed once, folded into the means, the variances
+    and the running sum, and dropped; log det Sigma_l = -log det P_l
+    comes from the factorization.
     """
     m = moments_from_state(state)
     N = state.dict_mean.shape[1]
@@ -114,14 +122,19 @@ def update_codes(state: VBState, data: TrainingSet) -> None:
     C = m.gamma_mean * (state.dict_mean.T @ data.Y)
     eye = np.eye(N)
     rows = np.arange(N)
+    cov_sum = np.zeros((N, N))
+    logdet_sum = 0.0
     for l in range(data.L):
         P = G.copy()
         P[rows, rows] += m.alpha_mean[:, l]
-        factor, _ = spd_factor(P)
-        sol = spd_solve(factor, np.hstack([eye, C[:, l:l + 1]]))
-        cov = sol[:, :N]
-        state.code_covs[l] = 0.5 * (cov + cov.T)
-        state.code_means[:, l] = sol[:, N]
+        factor, logdet_p = spd_factor(P)
+        cov = spd_solve(factor, eye)
+        state.code_means[:, l] = cov @ C[:, l]
+        state.code_vars[:, l] = cov[rows, rows]
+        cov_sum += cov
+        logdet_sum -= logdet_p
+    state.code_cov_sum = 0.5 * (cov_sum + cov_sum.T)
+    state.code_logdet_sum = logdet_sum
 
 
 def update_dictionary_full(state: VBState, data: TrainingSet,
@@ -214,8 +227,7 @@ def compute_elbo(state: VBState, data: TrainingSet, cfg: ModelConfig) -> float:
     lp_gamma = c * np.log(d) - gammaln(c) + (c - 1.0) * e_ln_gamma \
         - d * e_gamma
 
-    h_x = 0.5 * N * L * (1.0 + LN_2PI) \
-        + 0.5 * sum(spd_logdet(state.code_covs[l]) for l in range(L))
+    h_x = 0.5 * N * L * (1.0 + LN_2PI) + 0.5 * state.code_logdet_sum
     h_d = 0.5 * M * N * (1.0 + LN_2PI) + 0.5 * M * spd_logdet(state.dict_row_cov)
     h_alpha = N * L * float(_gamma_entropy(state.alpha_shape, 1.0)) \
         - float(np.sum(np.log(state.alpha_rates)))

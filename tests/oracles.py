@@ -25,6 +25,21 @@ def code_posterior_dense(d_mean, dtd, alpha_col, gamma_mean, y):
     return mu, Sigma
 
 
+def reduce_code_covs(covs):
+    """The q(X) fields VBState keeps of a dense (L, N, N) covariance stack.
+
+    Returns keyword arguments for VBState: per-column variances (N, L),
+    the sum over columns (N, N) and the summed log-determinants.
+    """
+    covs = np.asarray(covs, dtype=np.float64)
+    _, logdets = np.linalg.slogdet(covs)
+    return dict(
+        code_vars=np.diagonal(covs, axis1=1, axis2=2).T.copy(),
+        code_cov_sum=covs.sum(axis=0),
+        code_logdet_sum=float(np.sum(logdets)),
+    )
+
+
 def dict_posterior_dense(Y, x_mean, x_outer, gamma_mean, beta):
     """Optimal q(D) row family: mean and shared row covariance, dense."""
     N = x_outer.shape[0]

@@ -106,7 +106,7 @@ def tiny_vb_state(seed):
     from bayesdict.model import VBState
     return VBState(
         code_means=rng.standard_normal((2, 2)),
-        code_covs=np.stack(covs),
+        **oracles.reduce_code_covs(np.stack(covs)),
         dict_mean=rng.standard_normal((2, 2)),
         dict_row_cov=0.3 * np.eye(2) + 0.05,
         alpha_shape=1.4,
@@ -137,13 +137,21 @@ def test_criterion_4_oracle_equivalence():
     st = tiny_vb_state(41)
     pre = moments_from_state(st)
     update_codes(st, data)
+    sigmas = []
     for l in range(2):
         mu, Sig = oracles.code_posterior_dense(
             st.dict_mean, pre.dtd, pre.alpha_mean[:, l], pre.gamma_mean,
             data.Y[:, l])
         gaps.append(np.max(np.abs(st.code_means[:, l] - mu) /
                            np.maximum(np.abs(mu), 1e-300)))
-        gaps.append(np.max(np.abs(st.code_covs[l] - Sig) / np.abs(Sig)))
+        sigmas.append(Sig)
+    want = oracles.reduce_code_covs(np.stack(sigmas))
+    gaps.append(np.max(np.abs(st.code_vars - want["code_vars"]) /
+                       want["code_vars"]))
+    gaps.append(np.max(np.abs(st.code_cov_sum - want["code_cov_sum"]) /
+                       np.abs(want["code_cov_sum"])))
+    gaps.append(abs(st.code_logdet_sum - want["code_logdet_sum"]) /
+                abs(want["code_logdet_sum"]))
 
     # VB dictionary (full and atomwise)
     st = tiny_vb_state(42)

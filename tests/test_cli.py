@@ -204,6 +204,19 @@ def test_train_missing_input_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stride", ["0", "-2"])
+def test_train_rejects_non_positive_stride(tmp_path, capsys, stride):
+    img_path = tmp_path / "img.pgm"
+    make_image(img_path, q=16)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {img_path}\nnum_atoms = 4\niters = 2\n"
+                   f"stride = {stride}\n")
+    rc = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: stride must be a positive integer, got {stride}" in err
+
+
 def test_train_requires_input_key(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("num_atoms = 10\n")

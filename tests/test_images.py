@@ -8,6 +8,7 @@ from bayesdict.errors import (
     CoverageGap,
     ImageTooSmall,
     MalformedHeader,
+    NonPositiveHyperparameter,
     ShapeMismatch,
     UnsupportedMaxval,
 )
@@ -147,6 +148,18 @@ def test_extract_validation():
         extract_patches(np.zeros(16))
     with pytest.raises(ImageTooSmall):
         extract_patches(np.zeros((4, 4)), patch_size=8)
+
+
+@pytest.mark.parametrize("key, kwargs", [
+    ("stride", {"stride": 0}),
+    ("stride", {"stride": -2}),
+    ("patch_size", {"patch_size": 0}),
+    ("patch_size", {"patch_size": -8}),
+])
+def test_extract_rejects_non_positive_grid_parameters(key, kwargs):
+    with pytest.raises(NonPositiveHyperparameter, match=key) as info:
+        extract_patches(np.zeros((16, 16)), **kwargs)
+    assert info.value.field == key
 
 
 def test_reassemble_shape_check():

@@ -108,9 +108,10 @@ def test_vb_init_fields():
     np.testing.assert_allclose(np.linalg.norm(st.dict_mean, axis=0), 1.0,
                                rtol=0, atol=1e-12)
     assert np.all(st.code_means == 0.0)
-    assert st.code_covs.shape == (7, 6, 6)
-    for l in range(7):
-        np.testing.assert_array_equal(st.code_covs[l], np.eye(6))
+    # identity covariance per column, kept as its reductions
+    np.testing.assert_array_equal(st.code_vars, np.ones((6, 7)))
+    np.testing.assert_array_equal(st.code_cov_sum, 7.0 * np.eye(6))
+    assert st.code_logdet_sum == 0.0
     np.testing.assert_array_equal(st.dict_row_cov, 1e-6 * np.eye(6))
     assert st.alpha_shape == cfg.a + 0.5
     np.testing.assert_allclose(st.alpha_rates, cfg.b + 0.5)

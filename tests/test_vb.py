@@ -28,19 +28,24 @@ def random_spd(rng, n, scale=1.0):
     return scale * S / n
 
 
-def random_state(rng, M, N, L):
-    """A generic, non-degenerate posterior state for oracle comparisons."""
+def random_state_with_covs(rng, M, N, L):
+    """A generic, non-degenerate posterior state for oracle comparisons,
+    plus the dense per-column code covariances it was reduced from."""
     covs = np.stack([random_spd(rng, N, 0.5) for _ in range(L)])
     return VBState(
         code_means=rng.standard_normal((N, L)),
-        code_covs=covs,
+        **oracles.reduce_code_covs(covs),
         dict_mean=rng.standard_normal((M, N)),
         dict_row_cov=random_spd(rng, N, 0.1),
         alpha_shape=1.3,
         alpha_rates=0.5 + rng.random((N, L)),
         gamma_shape=7.5,
         gamma_rate=2.0,
-    )
+    ), covs
+
+
+def random_state(rng, M, N, L):
+    return random_state_with_covs(rng, M, N, L)[0]
 
 
 def make_problem(M=3, N=4, L=5, seed=0):
@@ -55,19 +60,19 @@ def make_problem(M=3, N=4, L=5, seed=0):
 
 def test_code_second_moments_definition():
     rng, _ = make_problem()
-    st = random_state(rng, 3, 4, 5)
+    st, covs = random_state_with_covs(rng, 3, 4, 5)
     sq = code_second_moments(st)
     for n in range(4):
         for l in range(5):
-            expect = st.code_means[n, l] ** 2 + st.code_covs[l][n, n]
+            expect = st.code_means[n, l] ** 2 + covs[l][n, n]
             assert sq[n, l] == pytest.approx(expect, rel=1e-14)
 
 
 def test_second_moment_identities():
     rng, _ = make_problem()
-    st = random_state(rng, 3, 4, 5)
+    st, covs = random_state_with_covs(rng, 3, 4, 5)
     m = moments_from_state(st)
-    x_outer = st.code_means @ st.code_means.T + st.code_covs.sum(axis=0)
+    x_outer = st.code_means @ st.code_means.T + covs.sum(axis=0)
     np.testing.assert_allclose(m.x_outer, x_outer, rtol=1e-13)
     dtd = st.dict_mean.T @ st.dict_mean + 3 * st.dict_row_cov
     np.testing.assert_allclose(m.dtd, dtd, rtol=1e-13)
@@ -75,10 +80,10 @@ def test_second_moment_identities():
 
 def test_expected_residual_monte_carlo():
     rng, data = make_problem(M=3, N=4, L=5, seed=1)
-    st = random_state(rng, 3, 4, 5)
+    st, covs = random_state_with_covs(rng, 3, 4, 5)
     got = expected_residual(st, data)
     mc, se = oracles.mc_expected_residual(
-        data.Y, st.code_means, st.code_covs, st.dict_mean, st.dict_row_cov,
+        data.Y, st.code_means, covs, st.dict_mean, st.dict_row_cov,
         n_draws=100_000, seed=99)
     assert abs(got - mc) < 3.0 * se
 
@@ -92,19 +97,26 @@ def test_update_codes_matches_dense_oracle():
     st = random_state(rng, 3, 4, 5)
     pre = moments_from_state(st)
     update_codes(st, data)
+    covs = []
     for l in range(data.L):
         mu, Sigma = oracles.code_posterior_dense(
             st.dict_mean, pre.dtd, pre.alpha_mean[:, l], pre.gamma_mean,
             data.Y[:, l])
         np.testing.assert_allclose(st.code_means[:, l], mu, rtol=1e-10)
-        np.testing.assert_allclose(st.code_covs[l], Sigma, rtol=1e-10)
+        covs.append(Sigma)
+    want = oracles.reduce_code_covs(np.stack(covs))
+    np.testing.assert_allclose(st.code_vars, want["code_vars"], rtol=1e-10)
+    np.testing.assert_allclose(st.code_cov_sum, want["code_cov_sum"],
+                               rtol=1e-10)
+    assert st.code_logdet_sum == pytest.approx(want["code_logdet_sum"],
+                                               rel=1e-10)
 
 
 def test_update_codes_scalar_arithmetic():
     """1x1x1 posterior: variance 1/(1*1+1), mean 1*0.5*1*2."""
     st = VBState(
         code_means=np.zeros((1, 1)),
-        code_covs=np.ones((1, 1, 1)),
+        **oracles.reduce_code_covs(np.ones((1, 1, 1))),
         dict_mean=np.array([[1.0]]),
         dict_row_cov=np.array([[0.0]]),  # <D^2> = 1 exactly
         alpha_shape=2.0,
@@ -114,7 +126,9 @@ def test_update_codes_scalar_arithmetic():
     )
     data = TrainingSet.from_matrix(np.array([[2.0]]))
     update_codes(st, data)
-    assert st.code_covs[0, 0, 0] == pytest.approx(0.5, rel=1e-14)
+    assert st.code_vars[0, 0] == pytest.approx(0.5, rel=1e-14)
+    assert st.code_cov_sum[0, 0] == pytest.approx(0.5, rel=1e-14)
+    assert st.code_logdet_sum == pytest.approx(np.log(0.5), rel=1e-14)
     assert st.code_means[0, 0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -125,21 +139,27 @@ def test_update_codes_prior_dominates_at_vanishing_noise_precision():
     alpha_mean = st.alpha_shape / st.alpha_rates
     update_codes(st, data)
     assert np.max(np.abs(st.code_means)) < 1e-12
-    for l in range(data.L):
-        np.testing.assert_allclose(st.code_covs[l],
-                                   np.diag(1.0 / alpha_mean[:, l]),
-                                   atol=1e-12)
+    want = oracles.reduce_code_covs(
+        [np.diag(1.0 / alpha_mean[:, l]) for l in range(data.L)])
+    np.testing.assert_allclose(st.code_vars, want["code_vars"], atol=1e-12)
+    np.testing.assert_allclose(st.code_cov_sum, want["code_cov_sum"],
+                               atol=1e-12)
+    assert st.code_logdet_sum == pytest.approx(want["code_logdet_sum"],
+                                               abs=1e-12)
 
 
 def test_update_codes_is_columnwise_independent():
-    """Permuting the training columns permutes the posteriors verbatim."""
+    """Permuting the training columns permutes the posteriors verbatim;
+    the covariance sum differs only by summation-order round-off."""
     rng, data = make_problem(M=3, N=4, L=6, seed=15)
     st = random_state(rng, 3, 4, 6)
     perm = np.array([4, 2, 0, 5, 1, 3])
 
     st_p = VBState(
         code_means=st.code_means[:, perm].copy(),
-        code_covs=st.code_covs[perm].copy(),
+        code_vars=st.code_vars[:, perm].copy(),
+        code_cov_sum=st.code_cov_sum.copy(),
+        code_logdet_sum=st.code_logdet_sum,
         dict_mean=st.dict_mean.copy(),
         dict_row_cov=st.dict_row_cov.copy(),
         alpha_shape=st.alpha_shape,
@@ -152,7 +172,24 @@ def test_update_codes_is_columnwise_independent():
     update_codes(st, data)
     update_codes(st_p, data_p)
     np.testing.assert_array_equal(st_p.code_means, st.code_means[:, perm])
-    np.testing.assert_array_equal(st_p.code_covs, st.code_covs[perm])
+    np.testing.assert_array_equal(st_p.code_vars, st.code_vars[:, perm])
+    np.testing.assert_allclose(st_p.code_cov_sum, st.code_cov_sum,
+                               rtol=1e-14)
+    assert st_p.code_logdet_sum == pytest.approx(st.code_logdet_sum,
+                                                 rel=1e-14)
+
+
+def test_code_posterior_state_does_not_grow_with_l_times_n_squared():
+    """q(X) is held as reductions: no array in the state has more than
+    max(N*L, N^2) entries, where the per-column stack had L*N^2."""
+    N, L = 64, 2000
+    rng = np.random.default_rng(21)
+    data = TrainingSet.from_matrix(rng.standard_normal((16, L)))
+    st = initialize_vb_state(ModelConfig(num_atoms=N, seed=2), data)
+    update_codes(st, data)
+    limit = max(N * L, N * N)
+    for name, value in vars(st).items():
+        assert np.size(value) <= limit, (name, np.shape(value))
 
 
 @pytest.mark.parametrize("beta", [0.7, 1e8, float("inf")])
@@ -174,7 +211,7 @@ def test_dictionary_fit_with_identity_codes_returns_data():
     data = TrainingSet.from_matrix(Y)
     st = VBState(
         code_means=np.eye(3),
-        code_covs=np.zeros((3, 3, 3)),
+        **oracles.reduce_code_covs(np.zeros((3, 3, 3))),
         dict_mean=rng.standard_normal((4, 3)),
         dict_row_cov=np.zeros((3, 3)),
         alpha_shape=1.0,
@@ -219,7 +256,7 @@ def test_update_alpha_default_hyperparameter_arithmetic():
     """Pinned values at a=0.5, b=1e-6: dead coefficient vs <x^2> = 2."""
     st = VBState(
         code_means=np.array([[0.0, np.sqrt(2.0)]]),
-        code_covs=np.zeros((2, 1, 1)),
+        **oracles.reduce_code_covs(np.zeros((2, 1, 1))),
         dict_mean=np.ones((3, 1)),
         dict_row_cov=np.zeros((1, 1)),
         alpha_shape=1.0,
@@ -263,7 +300,7 @@ def test_update_gamma_pinned_shape_and_exact_fit_rate():
     M, N, L = 20, 2, 1000
     st = VBState(
         code_means=np.zeros((N, L)),
-        code_covs=np.zeros((L, N, N)),
+        **oracles.reduce_code_covs(np.zeros((L, N, N))),
         dict_mean=np.zeros((M, N)),
         dict_row_cov=np.zeros((N, N)),
         alpha_shape=1.0,
@@ -282,7 +319,7 @@ def test_update_gamma_pinned_shape_and_exact_fit_rate():
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     st2 = VBState(
         code_means=X,
-        code_covs=np.zeros((2, 2, 2)),
+        **oracles.reduce_code_covs(np.zeros((2, 2, 2))),
         dict_mean=D,
         dict_row_cov=np.zeros((2, 2)),
         alpha_shape=1.0,
@@ -306,7 +343,9 @@ def test_atomwise_equals_full_for_single_atom():
     st_a = random_state(rng, 4, 1, 6)
     st_b = VBState(
         code_means=st_a.code_means.copy(),
-        code_covs=st_a.code_covs.copy(),
+        code_vars=st_a.code_vars.copy(),
+        code_cov_sum=st_a.code_cov_sum.copy(),
+        code_logdet_sum=st_a.code_logdet_sum,
         dict_mean=st_a.dict_mean.copy(),
         dict_row_cov=st_a.dict_row_cov.copy(),
         alpha_shape=st_a.alpha_shape,
@@ -353,7 +392,7 @@ def test_atomwise_unused_atom_falls_back_to_prior():
     covs[:, 0, 0] = rng.random(5)  # atom 1 keeps zero second moment
     st = VBState(
         code_means=means,
-        code_covs=covs,
+        **oracles.reduce_code_covs(covs),
         dict_mean=rng.standard_normal((3, 2)),
         dict_row_cov=np.zeros((2, 2)),
         alpha_shape=1.0,
@@ -373,7 +412,7 @@ def test_atomwise_sweep_does_not_increase_residual():
     covs = np.repeat((1e-3 * np.eye(2))[np.newaxis, :, :], 12, axis=0)
     st = VBState(
         code_means=rng.standard_normal((2, 12)),
-        code_covs=covs,
+        **oracles.reduce_code_covs(covs),
         dict_mean=rng.standard_normal((4, 2)),
         dict_row_cov=1e-3 * np.eye(2),
         alpha_shape=1.0,
@@ -404,7 +443,7 @@ def test_mod_limit_of_dictionary_update():
 def scalar_state(q):
     return VBState(
         code_means=np.array([[q["x_mean"]]]),
-        code_covs=np.array([[[q["x_var"]]]]),
+        **oracles.reduce_code_covs(np.array([[[q["x_var"]]]])),
         dict_mean=np.array([[q["d_mean"]]]),
         dict_row_cov=np.array([[q["d_var"]]]),
         alpha_shape=q["alpha_shape"],
@@ -467,10 +506,17 @@ def test_elbo_drops_when_code_covariance_is_perturbed():
         update_dictionary_full(st, data, cfg.beta)
         update_alpha(st, cfg)
         update_gamma(st, data, cfg)
+    pre = moments_from_state(st)
     update_codes(st, data)
     best = compute_elbo(st, data, cfg)
 
-    st.code_covs = 4.0 * st.code_covs
+    covs = np.stack([
+        oracles.code_posterior_dense(st.dict_mean, pre.dtd,
+                                     pre.alpha_mean[:, l], pre.gamma_mean,
+                                     data.Y[:, l])[1]
+        for l in range(data.L)])
+    for key, value in oracles.reduce_code_covs(4.0 * covs).items():
+        setattr(st, key, value)
     assert compute_elbo(st, data, cfg) < best
 
 
