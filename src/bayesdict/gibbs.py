@@ -1,10 +1,10 @@
 """Blocked Gibbs sampler over (X, D, alpha, gamma).
 
 Each iteration draws the code columns, then the dictionary atoms one at
-a time against a running residual, then the coefficient precisions, then
-the noise precision, all from their exact conditionals. The chain is a
-pure function of (config, data): one seeded generator drives every draw
-in a fixed order.
+a time (model._atom_sweep, shared with the VB engine), then the
+coefficient precisions, then the noise precision, all from their exact
+conditionals. The chain is a pure function of (config, data): one
+seeded generator drives every draw in a fixed order.
 
 The code step is exact but works in the M-dimensional data space rather
 than in coefficient space: D'D has rank at most M, so each column's
@@ -22,17 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    EmptyTrace,
-    NonFinite,
-    SingularPrecision,
-    TailLargerThanTrace,
-)
+from .errors import EmptyTrace, NonFinite, TailLargerThanTrace
 from .linalg import spd_factor, spd_solve
 from .model import (
     GibbsState,
     ModelConfig,
     TrainingSet,
+    _atom_sweep,
     initialize_gibbs_state,
     parse_estimate_mode,
     validate_config,
@@ -124,25 +120,10 @@ def sample_atoms(state: GibbsState, data: TrainingSet, beta: float) -> None:
     """Draw atoms sequentially from their isotropic Gaussian conditionals.
 
     Atom n conditions on all other atoms at their latest values through
-    the deflated data Y^-n = Y - D^-n X, maintained as a running
-    residual R = Y - DX with rank-1 corrections as each atom changes.
+    model._atom_sweep, with one row of M standard normals per atom.
     """
-    inv_beta = 0.0 if np.isinf(beta) else 1.0 / beta
-    gamma, rng = state.gamma, state.rng
-    M, N = state.D.shape
-    R = data.Y - state.D @ state.X
-    for n in range(N):
-        xn = state.X[n, :]
-        Rn = R + np.outer(state.D[:, n], xn)
-        prec = gamma * float(xn @ xn) + inv_beta
-        if prec <= 0:
-            raise SingularPrecision(
-                f"atom {n}: nonpositive scalar precision {prec:g}")
-        var = 1.0 / prec
-        mu = (gamma * var) * (Rn @ xn)
-        d_new = mu + np.sqrt(var) * rng.standard_normal(M)
-        state.D[:, n] = d_new
-        R = Rn - np.outer(d_new, xn)
+    noise = state.rng.standard_normal(state.D.shape[::-1])
+    _atom_sweep(state.D, data.Y, state.X, 0.0, state.gamma, beta, noise)
 
 
 def sample_alpha(state: GibbsState, cfg: ModelConfig) -> None:
@@ -153,12 +134,14 @@ def sample_alpha(state: GibbsState, cfg: ModelConfig) -> None:
 
 
 def sample_gamma(state: GibbsState, data: TrainingSet,
-                 cfg: ModelConfig) -> None:
-    """gamma ~ Gamma(c + ML/2, d + ||Y - DX||_F^2 / 2)."""
+                 cfg: ModelConfig) -> float:
+    """gamma ~ Gamma(c + ML/2, d + R / 2), R = ||Y - DX||_F^2; returns R."""
     resid = data.Y - state.D @ state.X
+    sq_resid = float(np.sum(resid * resid))
     shape = cfg.c + data.M * data.L / 2.0
-    rate = cfg.d + 0.5 * float(np.sum(resid * resid))
+    rate = cfg.d + 0.5 * sq_resid
     state.gamma = max(float(state.rng.gamma(shape, 1.0 / rate)), _TINY)
+    return sq_resid
 
 
 def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsState]:
@@ -174,10 +157,9 @@ def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsSta
         n_dense = sample_codes(state, data)
         sample_atoms(state, data, cfg.beta)
         sample_alpha(state, cfg)
-        sample_gamma(state, data, cfg)
+        sq_resid = sample_gamma(state, data, cfg)
         _check_finite(state, t)
-        resid = data.Y - state.D @ state.X
-        trace.residual_per_iter.append(float(np.linalg.norm(resid)))
+        trace.residual_per_iter.append(float(np.sqrt(sq_resid)))
         trace.gamma_per_iter.append(state.gamma)
         trace.dense_fallback_per_iter.append(n_dense)
         if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:

@@ -23,6 +23,7 @@ from .errors import (
     EmptyTrainingSet,
     NonFiniteTrainingData,
     NonPositiveHyperparameter,
+    SingularPrecision,
 )
 
 
@@ -228,3 +229,30 @@ def initialize_gibbs_state(cfg: ModelConfig, data: TrainingSet) -> GibbsState:
         gamma=gamma,
         rng=rng,
     )
+
+
+def _atom_sweep(D: np.ndarray, Y: np.ndarray, X: np.ndarray, var_sums,
+                gamma: float, beta: float, noise=None) -> np.ndarray:
+    """Refresh the atoms of D in place, one at a time; return their variances.
+
+    Given the other atoms at their latest values, d_n has precision
+    gamma (||x_n||^2 + var_sums[n]) + 1/beta and mean gamma var_n
+    (Y - sum_{j!=n} d_j x_j) x_n', which is read off YX' and XX' (diagonal
+    zeroed), both formed once as X is fixed. With noise (N, M) the atom
+    is a draw, mean + sqrt(var_n) noise[n]; without, the mean.
+    """
+    YX = Y @ X.T
+    XX = X @ X.T
+    prec = gamma * (np.diag(XX) + var_sums) + 1.0 / beta
+    bad = np.flatnonzero(prec <= 0)
+    if bad.size:
+        raise SingularPrecision(
+            f"atom {bad[0]}: nonpositive scalar precision {prec[bad[0]]:g}")
+    var = 1.0 / prec
+    np.fill_diagonal(XX, 0.0)
+    for n in range(D.shape[1]):
+        d = (gamma * var[n]) * (YX[:, n] - D @ XX[n])
+        if noise is not None:
+            d += np.sqrt(var[n]) * noise[n]
+        D[:, n] = d
+    return var

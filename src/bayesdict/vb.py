@@ -23,8 +23,9 @@ each column's precision.
 
 Two dictionary updates are provided: the whole-matrix form above and a
 sequential one-atom-at-a-time form whose per-atom covariance is a
-scalar times the identity. Both leave dict_row_cov in a shape where
-<D'D> = <D>'<D> + M * dict_row_cov holds.
+scalar times the identity (the atom sweep the Gibbs engine also uses).
+Both leave dict_row_cov in a shape where <D'D> = <D>'<D> + M *
+dict_row_cov holds.
 """
 
 from dataclasses import dataclass, field
@@ -32,12 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .errors import NegativeResidual, NonFinite, SingularPrecision
+from .errors import NegativeResidual, NonFinite
 from .linalg import spd_factor, spd_inverse, spd_logdet, spd_solve
 from .model import (
     ModelConfig,
     TrainingSet,
     VBState,
+    _atom_sweep,
     initialize_vb_state,
     validate_config,
 )
@@ -155,29 +157,15 @@ def update_dictionary_atomwise(state: VBState, data: TrainingSet,
                                beta: float) -> None:
     """Sequential per-atom refresh using the latest values of other atoms.
 
-    Atom n sees the deflated data <Y^-n> = Y - <D^-n><X>, maintained as
-    a running residual with rank-1 corrections. Its posterior is
-    isotropic: variance (<g> <x_n. x_n.'> + 1/beta)^-1 on every entry.
+    Atom n sees the deflated data Y - <D^-n><X> (model._atom_sweep, no
+    noise). Its posterior is isotropic: variance (<g> <x_n. x_n.'> +
+    1/beta)^-1 on every entry, <x_n. x_n.'> including sum_l Sigma_l[n,n].
     The shared row covariance becomes diag of these scalars.
     """
-    m = moments_from_state(state)
-    N = state.dict_mean.shape[1]
-    inv_beta = 0.0 if np.isinf(beta) else 1.0 / beta
-    R = data.Y - state.dict_mean @ state.code_means
-    sigma2 = np.empty(N)
-    for n in range(N):
-        xn = state.code_means[n, :]
-        Rn = R + np.outer(state.dict_mean[:, n], xn)
-        prec = m.gamma_mean * m.x_outer[n, n] + inv_beta
-        if prec <= 0:
-            raise SingularPrecision(
-                f"atom {n}: nonpositive scalar precision {prec:g}")
-        var = 1.0 / prec
-        mu = (m.gamma_mean * var) * (Rn @ xn)
-        state.dict_mean[:, n] = mu
-        sigma2[n] = var
-        R = Rn - np.outer(mu, xn)
-    state.dict_row_cov = np.diag(sigma2)
+    var = _atom_sweep(state.dict_mean, data.Y, state.code_means,
+                      state.code_vars.sum(axis=1),
+                      state.gamma_shape / state.gamma_rate, beta)
+    state.dict_row_cov = np.diag(var)
 
 
 def update_alpha(state: VBState, cfg: ModelConfig) -> None:

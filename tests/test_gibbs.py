@@ -10,7 +10,12 @@ from bayesdict import (
     run_gibbs,
 )
 from bayesdict import gibbs
-from bayesdict.errors import EmptyTrace, NonFinite, TailLargerThanTrace
+from bayesdict.errors import (
+    EmptyTrace,
+    NonFinite,
+    SingularPrecision,
+    TailLargerThanTrace,
+)
 from bayesdict.gibbs import (
     ChainTrace,
     sample_alpha,
@@ -225,6 +230,15 @@ def test_atom_sweep_running_residual_matches_recomputation():
         base.D, base.X, data.Y, base.gamma, 2.0,
         np.random.default_rng(555))
     np.testing.assert_allclose(st.D, want, rtol=1e-10, atol=1e-12)
+
+
+def test_sample_atoms_rejects_unused_atom_under_flat_prior():
+    """An all-zero code row with beta = inf leaves its atom with zero
+    precision; the sweep names that atom instead of drawing from N(0, inf)."""
+    base, data = fixed_problem(seed=12, M=3, N=3, L=4)
+    base.X[1, :] = 0.0
+    with pytest.raises(SingularPrecision, match=r"^atom 1: "):
+        sample_atoms(clone(base), data, beta=np.inf)
 
 
 def test_sample_alpha_moments():

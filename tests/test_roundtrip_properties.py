@@ -1,5 +1,6 @@
 """Property tests: the config value format and the text-matrix format
-both round-trip float64 exactly, which replay byte identity rests on."""
+both round-trip float64 exactly, which replay byte identity rests on;
+PGM images and stride-1 patch grids round-trip; OMP keeps its invariants."""
 
 import math
 import struct
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bayesdict.config import format_value, parse_value
-from bayesdict.fileio import load_matrix, save_matrix
+from bayesdict.fileio import load_matrix, load_pgm, save_matrix, save_pgm
+from bayesdict.omp import OmpStop, omp_encode
+from bayesdict.patches import extract_patches, reassemble_image
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, database=None)
 
@@ -88,3 +91,57 @@ def test_matrix_file_round_trip_is_bit_exact(A):
     assert back.dtype == np.float64
     assert back.shape == A.shape
     assert back.tobytes() == A.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(hnp.arrays(
+    np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                               max_side=12)))
+def test_pgm_round_trip_is_exact(pixels):
+    image = pixels.astype(np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "i.pgm"
+        save_pgm(image, path)
+        back = load_pgm(path)
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, image)
+
+
+@st.composite
+def images_and_patch_sizes(draw):
+    p = draw(st.integers(min_value=1, max_value=6))
+    side = draw(st.integers(min_value=p, max_value=p + 8))
+    image = draw(hnp.arrays(np.float64, (side, side),
+                            elements=st.floats(0.0, 255.0)))
+    return image, p
+
+
+@PROPERTY_SETTINGS
+@given(images_and_patch_sizes())
+def test_extract_then_reassemble_at_stride_one_returns_image(case):
+    image, p = case
+    patches, grid = extract_patches(image, patch_size=p, stride=1)
+    np.testing.assert_allclose(reassemble_image(patches, grid), image,
+                               rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def omp_problems(draw):
+    M = draw(st.integers(min_value=1, max_value=6))
+    N = draw(st.integers(min_value=1, max_value=8))
+    entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+    D = draw(hnp.arrays(np.float64, (M, N), elements=entries))
+    y = draw(hnp.arrays(np.float64, (M,), elements=entries))
+    k = draw(st.integers(min_value=1, max_value=N))
+    return D, y, k
+
+
+@PROPERTY_SETTINGS
+@given(omp_problems())
+def test_omp_support_is_distinct_and_residual_never_grows(problem):
+    D, y, k = problem
+    code = omp_encode(D, y, OmpStop(max_sparsity=k))
+    assert len(set(code.support)) == len(code.support) <= k
+    assert code.residual_norm <= np.linalg.norm(y)
+    more = omp_encode(D, y, OmpStop(max_sparsity=k + 1))
+    assert more.residual_norm <= code.residual_norm

@@ -16,6 +16,7 @@ from bayesdict import (
     update_dictionary_full,
     update_gamma,
 )
+from bayesdict.errors import SingularPrecision
 from bayesdict.model import VBState
 from bayesdict.vb import code_second_moments, expected_residual
 
@@ -403,6 +404,19 @@ def test_atomwise_unused_atom_falls_back_to_prior():
     update_dictionary_atomwise(st, data, beta=1.0)
     np.testing.assert_array_equal(st.dict_mean[:, 1], np.zeros(3))
     assert st.dict_row_cov[1, 1] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_atomwise_rejects_unused_atom_under_flat_prior():
+    """Zero code means and variances on one row with beta = inf leave that
+    atom with zero precision; the update names it."""
+    rng = np.random.default_rng(19)
+    data = TrainingSet.from_matrix(rng.standard_normal((3, 5)))
+    st = random_state(rng, 3, 3, 5)
+    st.code_means[2, :] = 0.0
+    st.code_vars[2, :] = 0.0
+    st.code_cov_sum[2, :] = st.code_cov_sum[:, 2] = 0.0
+    with pytest.raises(SingularPrecision, match=r"^atom 2: "):
+        update_dictionary_atomwise(st, data, beta=np.inf)
 
 
 def test_atomwise_sweep_does_not_increase_residual():
