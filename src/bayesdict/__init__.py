@@ -25,7 +25,14 @@ from .model import (
     initialize_vb_state,
     validate_config,
 )
-from .omp import OmpStop, SparseCode, batch_encode, normalize_dictionary, omp_encode
+from .omp import (
+    OmpStop,
+    SparseCode,
+    SparseCodes,
+    batch_encode,
+    normalize_dictionary,
+    omp_encode,
+)
 from .patches import PatchGrid, extract_patches, reassemble_image
 from .synthetic import SyntheticSpec, generate_synthetic, snr_to_noise_std
 from .vb import (
@@ -45,13 +52,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainTrace", "GibbsState", "ModelConfig", "OmpStop", "PatchGrid",
-    "RecoveryReport", "SparseCode", "SyntheticSpec", "TrainingSet",
-    "VBMoments", "VBState", "VBTrace", "atom_distance", "batch_encode",
-    "compute_elbo", "errors", "estimate_dictionary", "extract_patches",
-    "generate_synthetic", "initialize_gibbs_state", "initialize_vb_state",
-    "match_and_score", "moments_from_state", "normalize_dictionary",
-    "omp_encode", "psnr", "psnr_conventional", "reassemble_image",
-    "reconstruction_error", "run_gibbs", "run_vb", "snr_to_noise_std",
-    "update_alpha", "update_codes", "update_dictionary_atomwise",
-    "update_dictionary_full", "update_gamma", "validate_config",
+    "RecoveryReport", "SparseCode", "SparseCodes", "SyntheticSpec",
+    "TrainingSet", "VBMoments", "VBState", "VBTrace", "atom_distance",
+    "batch_encode", "compute_elbo", "errors", "estimate_dictionary",
+    "extract_patches", "generate_synthetic", "initialize_gibbs_state",
+    "initialize_vb_state", "match_and_score", "moments_from_state",
+    "normalize_dictionary", "omp_encode", "psnr", "psnr_conventional",
+    "reassemble_image", "reconstruction_error", "run_gibbs", "run_vb",
+    "snr_to_noise_std", "update_alpha", "update_codes",
+    "update_dictionary_atomwise", "update_dictionary_full", "update_gamma",
+    "validate_config",
 ]

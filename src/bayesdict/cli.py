@@ -323,23 +323,12 @@ def cmd_denoise(args) -> int:
     Dn, _ = normalize_dictionary(D)
     noisy = load_pgm(resolved["input"])
     patches, grid = extract_patches(noisy, patch_size=8, stride=1)
-    if resolved["remove_dc"]:
-        means = patches.mean(axis=0)
-        coded_input = patches - means
-    else:
-        means = None
-        coded_input = patches
+    means = patches.mean(axis=0) if resolved["remove_dc"] else 0.0
+    patches -= means
     threshold = resolved["gain"] * resolved["sigma"] * 8.0
-    codes = batch_encode(Dn, coded_input,
-                         OmpStop(residual_threshold=threshold))
-    denoised_patches = np.zeros_like(patches)
-    support_sizes = []
-    for p, code in enumerate(codes):
-        if code.support:
-            denoised_patches[:, p] = Dn[:, code.support] @ code.coeffs
-        if means is not None:
-            denoised_patches[:, p] += means[p]
-        support_sizes.append(len(code.support))
+    codes = batch_encode(Dn, patches, OmpStop(residual_threshold=threshold))
+    denoised_patches = codes.reconstruct(Dn)
+    denoised_patches += means
     denoised = reassemble_image(denoised_patches, grid)
 
     out_dir = Path(args.out)
@@ -347,7 +336,7 @@ def cmd_denoise(args) -> int:
     save_pgm(denoised, out_dir / "denoised.pgm")
     report = RunReport(config_echo=resolved)
     report.metrics["patches_coded"] = len(codes)
-    report.metrics["mean_support"] = float(np.mean(support_sizes))
+    report.metrics["mean_support"] = float(codes.indptr[-1] / len(codes))
     if resolved["clean"]:
         clean = load_pgm(resolved["clean"])
         report.metrics["psnr"] = psnr(clean, denoised)

@@ -1,10 +1,44 @@
 """Orthogonal matching pursuit for coding signals against a dictionary.
 
 Standard greedy OMP: pick the atom most correlated with the current
-residual (ties broken toward the lowest index), refit all selected
-coefficients by least squares, repeat until a stopping rule fires.
+residual, refit all selected coefficients by least squares, repeat until
+a stopping rule fires. Columns are coded in blocks by Batch-OMP in Gram
+form (Rubinstein, Zibulevsky & Elad 2008, "Efficient Implementation of
+the K-SVD Algorithm using Batch Orthogonal Matching Pursuit", Technion
+CS-2008-08):
+
+- `G = DᵀD` is formed once per call and `Dᵀy` once per column.
+- Each step takes, for every column still running, one argmax of
+  `|Dᵀr|` with the atoms already selected masked out; ties go to the
+  lowest atom index.
+- The refit solves the stacked k x k normal equations
+  `G[S, S] c = D_Sᵀ y` in one batched solve.
+- The residual is formed explicitly, `r = y - D_S c`. The normal-equation
+  form `‖y‖² - cᵀD_Sᵀy` cancels once the residual is small next to `y`,
+  and the stall check and the threshold test must see the true residual.
+
+Stall and rank rule: a trial atom whose refit does not shrink the
+residual norm by at least STALL_REL of it is dropped, and that column
+stops. A singular `G[S, S]` (the trial atom lies in the span of the
+support, e.g. a duplicate atom) counts as such a stall; the other
+columns of the block are unaffected.
+
+Every per-column product is a stacked matmul, one identical BLAS call
+per column, and the batched solve factors each matrix on its own. A
+column's code therefore does not depend on its neighbours or on where
+the block boundaries fall: `batch_encode(D, Y)[p]` equals
+`omp_encode(D, Y[:, p])` bit for bit, and `omp_encode` is the one-column
+case of the same kernel.
+
+Blocks hold _BLOCK = 256 columns, a trade between per-step Python
+overhead and the size of a block's work arrays. Denoising a 128² image
+(14 641 patches, 64 x 256 DCT, one BLAS thread) took 0.57 s with blocks
+of 128, 0.41 s with 256 and 0.44-0.46 s with 512 or 1024; the peak
+traced allocation was 16.4 MiB up to 512 but 20.1 MiB at 1024, as much
+as the per-signal loop this replaced (20.3 MiB).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,6 +47,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 STALL_REL = 1e-12
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -35,15 +70,56 @@ class OmpStop:
 class SparseCode:
     """OMP output for one signal.
 
-    support and coeffs are aligned; renormalized flags that the
-    dictionary columns were rescaled to unit norm internally, so coeffs
-    refer to the rescaled atoms.
+    support and coeffs are aligned, in selection order; renormalized
+    flags that the dictionary columns were rescaled to unit norm
+    internally, so coeffs refer to the rescaled atoms.
     """
 
     support: list
     coeffs: np.ndarray
     residual_norm: float
     renormalized: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class SparseCodes(Sequence):
+    """OMP output for a batch: the N x P code matrix in compressed-column
+    form, without storing its zeros.
+
+    Column p's atoms are indices[indptr[p]:indptr[p + 1]] in selection
+    order, with the aligned coeffs; residual_norms[p] is its residual.
+    Indexing builds a SparseCode view of one column.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    coeffs: np.ndarray
+    residual_norms: np.ndarray
+    renormalized: bool = False
+
+    def __len__(self) -> int:
+        return len(self.residual_norms)
+
+    def __getitem__(self, p) -> SparseCode:
+        p = range(len(self))[p]
+        lo, hi = self.indptr[p], self.indptr[p + 1]
+        return SparseCode(self.indices[lo:hi].tolist(),
+                          self.coeffs[lo:hi].copy(),
+                          float(self.residual_norms[p]), self.renormalized)
+
+    def reconstruct(self, D: np.ndarray) -> np.ndarray:
+        """Dn @ X: every column rebuilt from the (normalized) dictionary.
+
+        Row by row, each column's weighted atom entries are summed in
+        selection order, without forming X or any nnz x M array.
+        """
+        Dn, _ = normalize_dictionary(np.asarray(D, dtype=np.float64))
+        cols = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        out = np.empty((Dn.shape[0], len(self)))
+        for m, row in enumerate(Dn):
+            out[m] = np.bincount(cols, row[self.indices] * self.coeffs,
+                                 len(self))
+        return out
 
 
 def normalize_dictionary(D: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -61,70 +137,101 @@ def normalize_dictionary(D: np.ndarray) -> tuple[np.ndarray, bool]:
     return D / safe, True
 
 
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
-def _encode_normalized(D: np.ndarray, y: np.ndarray, stop: OmpStop,
-                       renormalized: bool) -> SparseCode:
-    M, N = D.shape
-    thr = stop.residual_threshold
-    cap = stop.max_sparsity if stop.max_sparsity is not None else min(M, N)
-    cap = min(cap, N)
 
-    support: list = []
-    coeffs = np.zeros(0)
-    residual = y.copy()
-    res_norm = float(np.linalg.norm(residual))
-    if res_norm == 0.0 or (thr is not None and res_norm <= thr):
-        return SparseCode(support, coeffs, res_norm, renormalized)
+def _solve_stacked(A: np.ndarray, b: np.ndarray):
+    """Solve every A[i] c = b[i]; singular systems come back as False."""
+    solved = np.ones(len(A), bool)
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0], solved
+    except np.linalg.LinAlgError:
+        pass
+    c = np.zeros_like(b)
+    for i in range(len(A)):
+        try:
+            c[i] = np.linalg.solve(A[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return c, solved
 
-    selected = np.zeros(N, dtype=bool)
-    while len(support) < cap:
-        corr = np.abs(D.T @ residual)
-        corr[selected] = -1.0
-        atom = int(np.argmax(corr))
-        if corr[atom] <= 0.0:
-            break  # residual orthogonal to every remaining atom
-        trial = support + [atom]
-        sol, *_ = np.linalg.lstsq(D[:, trial], y, rcond=None)
-        new_residual = y - D[:, trial] @ sol
-        new_norm = float(np.linalg.norm(new_residual))
-        if res_norm - new_norm < STALL_REL * res_norm:
-            break  # no progress; drop the trial atom
-        support = trial
-        selected[atom] = True
-        coeffs = sol
-        residual = new_residual
-        res_norm = new_norm
-        if thr is not None and res_norm <= thr:
+
+def _encode_block(Dn, G, Y, thr, cap):
+    """Code every row of Y (B x M, one signal per row).
+
+    Returns support sizes, supports and coefficients (B x cap, padded
+    past each size) and residual norms.
+    """
+    B = Y.shape[0]
+    DtY = (Dn.T @ Y[:, :, None])[:, :, 0]
+    R = Y.copy()
+    norms = _row_norms(Y)
+    sizes = np.zeros(B, dtype=np.intp)
+    sup = np.zeros((B, cap), dtype=np.intp)
+    coef = np.zeros((B, cap))
+    running = norms > 0.0
+    if thr is not None:
+        running &= norms > thr
+    act = np.flatnonzero(running)
+    for k in range(cap):
+        if act.size == 0:
             break
-    return SparseCode(support, coeffs, res_norm, renormalized)
-
-
-def omp_encode(D: np.ndarray, y: np.ndarray, stop: OmpStop) -> SparseCode:
-    """Code one signal. Columns of D are normalized internally if needed."""
-    y = np.asarray(y, dtype=np.float64)
-    if D.ndim != 2 or y.ndim != 1 or D.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"dictionary {D.shape} incompatible with signal {y.shape}")
-    Dn, renorm = normalize_dictionary(np.asarray(D, dtype=np.float64))
-    return _encode_normalized(Dn, y, stop, renorm)
+        corr = np.abs((Dn.T @ R[act, :, None])[:, :, 0])
+        np.put_along_axis(corr, sup[act, :k], -1.0, axis=1)
+        atom = np.argmax(corr, axis=1)
+        moving = np.take_along_axis(corr, atom[:, None], axis=1)[:, 0] > 0.0
+        act, atom = act[moving], atom[moving]
+        S = np.concatenate([sup[act, :k], atom[:, None]], axis=1)
+        c, solved = _solve_stacked(G[S[:, :, None], S[:, None, :]],
+                                   np.take_along_axis(DtY[act], S, axis=1))
+        trial = Y[act] - (c[:, None, :] @ Dn.T[S])[:, 0, :]
+        trial_norms = _row_norms(trial)
+        gained = solved & (norms[act] - trial_norms >= STALL_REL * norms[act])
+        act = act[gained]
+        R[act] = trial[gained]
+        norms[act] = trial_norms[gained]
+        sup[act, k] = atom[gained]
+        coef[act, :k + 1] = c[gained]
+        sizes[act] = k + 1
+        if thr is not None:
+            act = act[norms[act] > thr]
+    return sizes, sup, coef, norms
 
 
 def batch_encode(D: np.ndarray, signals: np.ndarray,
-                 stop: OmpStop) -> list:
+                 stop: OmpStop) -> SparseCodes:
     """Code every column of signals independently, preserving order."""
     signals = np.asarray(signals, dtype=np.float64)
     if D.ndim != 2 or signals.ndim != 2 or D.shape[0] != signals.shape[0]:
         raise DimensionMismatch(
             f"dictionary {D.shape} incompatible with signals {signals.shape}")
     Dn, renorm = normalize_dictionary(np.asarray(D, dtype=np.float64))
-    return [_encode_normalized(Dn, signals[:, p], stop, renorm)
-            for p in range(signals.shape[1])]
+    M, N = Dn.shape
+    cap = stop.max_sparsity if stop.max_sparsity is not None else min(M, N)
+    cap = min(cap, N)
+    G = Dn.T @ Dn
+    P = signals.shape[1]
+    sizes = np.zeros(P, dtype=np.intp)
+    norms = np.zeros(P)
+    indices, coeffs = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for lo in range(0, P, _BLOCK):
+        Y = np.ascontiguousarray(signals[:, lo:lo + _BLOCK].T)
+        hi = lo + len(Y)
+        sizes[lo:hi], sup, coef, norms[lo:hi] = _encode_block(
+            Dn, G, Y, stop.residual_threshold, cap)
+        kept = np.arange(cap) < sizes[lo:hi, None]
+        indices.append(sup[kept])
+        coeffs.append(coef[kept])
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    return SparseCodes(indptr, np.concatenate(indices),
+                       np.concatenate(coeffs), norms, renorm)
 
 
-def reconstruct(D: np.ndarray, code: SparseCode) -> np.ndarray:
-    """D_support @ coeffs against the same (normalized) dictionary."""
-    Dn, _ = normalize_dictionary(np.asarray(D, dtype=np.float64))
-    out = np.zeros(Dn.shape[0])
-    if code.support:
-        out = Dn[:, code.support] @ code.coeffs
-    return out
+def omp_encode(D: np.ndarray, y: np.ndarray, stop: OmpStop) -> SparseCode:
+    """Code one signal. Columns of D are normalized internally if needed."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1:
+        raise DimensionMismatch(
+            f"dictionary {D.shape} incompatible with signal {y.shape}")
+    return batch_encode(D, y[:, None], stop)[0]

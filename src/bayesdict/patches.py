@@ -28,6 +28,21 @@ class PatchGrid:
     image_dims: tuple
 
 
+def _offset_slices(p: int, stride: int, n: int):
+    """(a, b, window) for each in-patch offset (a, b): window selects that
+    pixel of all n x n patches on the grid, in row-major patch order.
+
+    Offsets run from (p-1, p-1) down to (0, 0), so each pixel receives
+    its patches in row-major order of their origins, the order a loop
+    over patches would add them in.
+    """
+    span = stride * (n - 1) + 1
+    for a in range(p - 1, -1, -1):
+        for b in range(p - 1, -1, -1):
+            yield a, b, (slice(a, a + span, stride),
+                         slice(b, b + span, stride))
+
+
 def extract_patches(image: np.ndarray, patch_size: int = 8,
                     stride: int = 2) -> tuple[np.ndarray, PatchGrid]:
     """All patches on the stride grid as columns of a (p*p, P) matrix."""
@@ -44,14 +59,10 @@ def extract_patches(image: np.ndarray, patch_size: int = 8,
     grid = PatchGrid(patch_size=patch_size, stride=stride,
                      origin_rows=offsets, origin_cols=offsets,
                      image_dims=(Q, Q))
-    P = len(offsets) ** 2
-    out = np.empty((patch_size * patch_size, P))
-    col = 0
-    for r0 in offsets:
-        for c0 in offsets:
-            block = image[r0:r0 + patch_size, c0:c0 + patch_size]
-            out[:, col] = block.flatten(order="F")
-            col += 1
+    n = len(offsets)
+    out = np.empty((patch_size * patch_size, n * n))
+    for a, b, window in _offset_slices(patch_size, stride, n):
+        out[a + b * patch_size] = image[window].ravel()
     return out, grid
 
 
@@ -64,15 +75,12 @@ def reassemble_image(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
         raise ShapeMismatch(
             f"patch matrix {patches.shape} does not fit grid "
             f"({p * p} x {expect})")
+    n = len(grid.origin_rows)
     acc = np.zeros((Q, Q))
     count = np.zeros((Q, Q))
-    col = 0
-    for r0 in grid.origin_rows:
-        for c0 in grid.origin_cols:
-            block = patches[:, col].reshape((p, p), order="F")
-            acc[r0:r0 + p, c0:c0 + p] += block
-            count[r0:r0 + p, c0:c0 + p] += 1.0
-            col += 1
+    for a, b, window in _offset_slices(p, grid.stride, n):
+        acc[window] += patches[a + b * p].reshape(n, n)
+        count[window] += 1.0
     if np.any(count == 0):
         raise CoverageGap("grid leaves uncovered pixels; use stride 1")
     return np.clip(acc / count, 0.0, 255.0)

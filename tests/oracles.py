@@ -157,6 +157,42 @@ def atoms_sweep_independent(D0, X, Y, gamma, beta, rng):
     return D
 
 
+def omp_lstsq(D, y, max_sparsity=None, residual_threshold=None):
+    """Per-signal greedy OMP with a least-squares refit of the whole
+    support at every step, by numpy.linalg.lstsq.
+
+    D must already have unit-norm columns. Selection takes the largest
+    |D'r| over atoms not yet chosen, ties to the lowest index; a trial
+    atom that shrinks the residual by less than 1e-12 of it is dropped
+    and coding stops. Returns (support, coeffs, residual_norm).
+    """
+    M, N = D.shape
+    cap = min(max_sparsity if max_sparsity is not None else min(M, N), N)
+    support, coeffs = [], np.zeros(0)
+    res_norm = float(np.linalg.norm(y))
+    if res_norm == 0.0 or (residual_threshold is not None
+                           and res_norm <= residual_threshold):
+        return support, coeffs, res_norm
+    residual = y.copy()
+    while len(support) < cap:
+        corr = np.abs(D.T @ residual)
+        corr[support] = -1.0
+        atom = int(np.argmax(corr))
+        if corr[atom] <= 0.0:
+            break
+        trial = support + [atom]
+        sol, *_ = np.linalg.lstsq(D[:, trial], y, rcond=None)
+        new_residual = y - D[:, trial] @ sol
+        new_norm = float(np.linalg.norm(new_residual))
+        if res_norm - new_norm < 1e-12 * res_norm:
+            break
+        support, coeffs, residual = trial, sol, new_residual
+        res_norm = new_norm
+        if residual_threshold is not None and res_norm <= residual_threshold:
+            break
+    return support, coeffs, res_norm
+
+
 def mean_se(samples):
     """Per-coordinate standard error of the sample mean (axis 0)."""
     n = samples.shape[0]

@@ -61,9 +61,11 @@ def test_extract_reassemble_identity():
         np.testing.assert_allclose(back, img, atol=1e-10)
 
 
-def test_reassemble_count_map_oracle():
+@pytest.mark.parametrize("p, stride", [(p, s) for p in (2, 3, 4, 8)
+                                       for s in (1, 2, 3) if s <= p])
+def test_reassemble_count_map_oracle(p, stride):
     """Pixel averaging counts match a brute-force loop."""
-    q, p, stride = 14, 4, 2
+    q = p + 5 * stride  # the grid covers every pixel; (4, 2) gives 14
     img = gradient_image(q)
     patches, grid = extract_patches(img, patch_size=p, stride=stride)
 
