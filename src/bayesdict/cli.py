@@ -5,10 +5,11 @@ grid), train (learn a dictionary from a matrix file or image patches),
 and denoise (OMP-code all stride-1 patches of a noisy image against a
 trained dictionary and average them back).
 
-Every run writes a report plus a config_echo.cfg holding the complete
-resolved configuration; replaying that echo reproduces all output files
-byte for byte. Wall time is printed to stdout only, never written to a
-file, to keep reruns comparable.
+Every run writes a report.txt ([config], [metrics] and [artifacts]
+sections) plus a config_echo.cfg holding the complete resolved
+configuration; replaying that echo reproduces all output files byte for
+byte. So nothing time- or host-dependent goes into any file: wall time
+is printed to stdout only, which keeps reruns comparable.
 """
 
 import argparse
@@ -37,7 +38,6 @@ from .metrics import (
 from .model import ModelConfig, TrainingSet
 from .omp import OmpStop, batch_encode, normalize_dictionary
 from .patches import extract_patches, reassemble_image
-from .report import RunReport, render_report
 from .synthetic import SyntheticSpec, generate_synthetic
 from .vb import run_vb
 
@@ -61,6 +61,9 @@ def _engine_schema(engine: str) -> dict:
     """Schema keys whose defaults depend on the engine: a diffuse atom
     prior (beta=1e8) for the VB engines versus beta=1 for Gibbs, and a
     sweep budget of 500 for VB, 300 for Gibbs."""
+    if engine not in ENGINES:
+        raise ConfigParseError(
+            f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
     schema = dict(_ENGINE_KEYS)
     if engine == "gibbs":
         schema["beta"] = ("float", "1.0")
@@ -107,14 +110,6 @@ _DENOISE_SCHEMA = {
 }
 
 
-def _peek_engine(file_values: dict, flag_engine) -> str:
-    engine = flag_engine or file_values.get("engine", "gibbs")
-    if engine not in ENGINES:
-        raise ConfigParseError(
-            f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
-    return engine
-
-
 def _model_config(resolved: dict, seed: int) -> ModelConfig:
     return ModelConfig(
         num_atoms=resolved["num_atoms"],
@@ -130,46 +125,69 @@ def _model_config(resolved: dict, seed: int) -> ModelConfig:
     )
 
 
-def _resolve_engine_command(args, schema_for) -> tuple[str, dict]:
-    """Shared preamble of the engine commands: read --config, settle the
-    engine, then layer schema defaults, file values and flags."""
+def _resolve_config(args, schema_for) -> dict:
+    """Read --config, then layer schema defaults, file values and every
+    flag that shares a schema key's name (--seed, --sigma, ...).
+
+    schema_for takes the engine the run will use (flag, else file, else
+    gibbs), so an engine command's defaults follow that engine.
+    """
     file_values = parse_config_file(args.config) if args.config else {}
-    engine = _peek_engine(file_values, args.engine)
-    flags = {"engine": args.engine, "seed": args.seed,
-             "iters": args.iters, "burn_in": args.burn_in}
-    resolved = resolve(schema_for(engine), file_values, flags,
-                       args.config or "<defaults>")
-    return engine, resolved
+    schema = schema_for(args.engine or file_values.get("engine", "gibbs"))
+    return resolve(schema, file_values, vars(args),
+                   args.config or "<defaults>")
 
 
 def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
-    """Returns (dictionary estimate, engine trace, final engine state)."""
+    """Run one engine; returns (dictionary estimate, trace.tsv columns as
+    name -> per-sweep values, report metrics)."""
     if engine == "gibbs":
-        trace, state = run_gibbs(mcfg, data)
+        trace, _ = run_gibbs(mcfg, data)
         D = estimate_dictionary(trace, mcfg.dict_estimate_mode)
-        return D, trace, state
-    state, trace = run_vb(mcfg, data,
-                          variant="full" if engine == "vb-full" else "atomwise")
-    return state.dict_mean, trace, state
+        columns = {"residual": trace.residual_per_iter,
+                   "gamma": trace.gamma_per_iter}
+        metrics = {
+            "iterations_run": mcfg.max_iters,
+            "kept_samples": len(trace.kept_dicts),
+            "final_residual": trace.residual_per_iter[-1],
+            "dense_fallback_columns": sum(trace.dense_fallback_per_iter),
+        }
+        return D, columns, metrics
+    state, trace = run_vb(mcfg, data, variant=engine.removeprefix("vb-"))
+    columns = {"elbo": trace.elbo, "dict_change": trace.dict_change}
+    metrics = {
+        "iterations_run": trace.iterations_run,
+        "converged": trace.converged,
+        "elbo_final": trace.elbo[-1],
+        "final_residual": reconstruction_error(data.Y, state.dict_mean,
+                                               state.code_means),
+    }
+    return state.dict_mean, columns, metrics
 
 
-def _write_report(out_dir: Path, report: RunReport) -> None:
-    (out_dir / "config_echo.cfg").write_text(render_config(report.config_echo))
-    report.artifact_paths.append("config_echo.cfg")
-    report.artifact_paths.append("report.txt")
-    (out_dir / "report.txt").write_text(render_report(report))
-
-
-def _print_summary(report: RunReport, out_dir: Path, wall: float) -> None:
-    for key, value in report.metrics.items():
+def _finish(out_dir: Path, resolved: dict, metrics: dict, artifacts: list,
+            t0: float) -> int:
+    """Write config_echo.cfg and report.txt, then print the metrics and
+    the wall time since t0."""
+    artifacts = [*artifacts, "config_echo.cfg", "report.txt"]
+    echo = render_config(resolved)
+    (out_dir / "config_echo.cfg").write_text(echo)
+    lines = ["[config]", echo.rstrip("\n"), "", "[metrics]"]
+    lines += [f"{key}\t{format_value(value)}"
+              for key, value in metrics.items()]
+    lines += ["", "[artifacts]", *artifacts]
+    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    for key, value in metrics.items():
         print(f"{key} = {format_value(value)}")
-    print(f"wall_time_seconds = {wall:.3f}")
+    print(f"wall_time_seconds = {time.perf_counter() - t0:.3f}")
     print(f"artifacts written to {out_dir}")
+    return 0
 
 
 def cmd_bench_synthetic(args) -> int:
     t0 = time.perf_counter()
-    engine, resolved = _resolve_engine_command(args, _bench_schema)
+    resolved = _resolve_config(args, _bench_schema)
+    engine = resolved["engine"]
     if resolved["trials"] < 1:
         raise ConfigParseError("trials must be >= 1")
     if not (resolved["L_grid"] and resolved["snr_grid"] and resolved["k_grid"]):
@@ -218,17 +236,16 @@ def cmd_bench_synthetic(args) -> int:
                          f"\t{fmt_rate(rate)}")
     (out_dir / "bench_trials.tsv").write_text("\n".join(per_trial) + "\n")
 
-    report = RunReport(config_echo=resolved)
-    report.metrics["success_rate"] = \
-        float(np.mean(all_rates)) if all_rates else float("nan")
-    report.metrics["cells"] = len(cell_rows)
-    report.metrics["trials_total"] = len(trial_rows)
-    report.metrics["trials_failed"] = failures
-    report.artifact_paths.extend(["bench_table.tsv", "bench_trials.tsv"])
-    _write_report(out_dir, report)
-    _print_summary(report, out_dir, time.perf_counter() - t0)
+    metrics = {
+        "success_rate": float(np.mean(all_rates)) if all_rates
+        else float("nan"),
+        "cells": len(cell_rows),
+        "trials_total": len(trial_rows),
+        "trials_failed": failures,
+    }
     # per-trial failures are nonfatal by contract; they are counted above
-    return 0
+    return _finish(out_dir, resolved, metrics,
+                   ["bench_table.tsv", "bench_trials.tsv"], t0)
 
 
 def _bench_trial(resolved: dict, engine: str, L: int, snr: float, k,
@@ -261,7 +278,7 @@ def _load_training_input(resolved: dict) -> tuple[np.ndarray, str]:
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    engine, resolved = _resolve_engine_command(args, _train_schema)
+    resolved = _resolve_config(args, _train_schema)
     Y, kind = _load_training_input(resolved)
     resolved["input_kind"] = kind  # echo the decided kind, not "auto"
     data = TrainingSet.from_matrix(Y)
@@ -269,35 +286,15 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = RunReport(config_echo=resolved)
-    D, trace, state = _fit(engine, mcfg, data)
-    if engine == "gibbs":
-        lines = ["iter\tresidual\tgamma"]
-        for i, (r, g) in enumerate(zip(trace.residual_per_iter,
-                                       trace.gamma_per_iter), start=1):
-            lines.append(f"{i}\t{r!r}\t{g!r}")
-        report.metrics["iterations_run"] = mcfg.max_iters
-        report.metrics["kept_samples"] = len(trace.kept_dicts)
-        report.metrics["final_residual"] = trace.residual_per_iter[-1]
-        report.metrics["dense_fallback_columns"] = \
-            sum(trace.dense_fallback_per_iter)
-    else:
-        lines = ["iter\telbo\tdict_change"]
-        for i, (e, ch) in enumerate(zip(trace.elbo, trace.dict_change),
-                                    start=1):
-            lines.append(f"{i}\t{e!r}\t{ch!r}")
-        report.metrics["iterations_run"] = trace.iterations_run
-        report.metrics["converged"] = trace.converged
-        report.metrics["elbo_final"] = trace.elbo[-1]
-        report.metrics["final_residual"] = reconstruction_error(
-            data.Y, state.dict_mean, state.code_means)
+    D, columns, metrics = _fit(resolved["engine"], mcfg, data)
+    lines = ["\t".join(["iter", *columns])]
+    for i, row in enumerate(zip(*columns.values()), start=1):
+        lines.append("\t".join([str(i), *map(repr, row)]))
     (out_dir / "trace.tsv").write_text("\n".join(lines) + "\n")
     save_matrix(D, out_dir / "dictionary.txt")
-    report.metrics["signals"] = data.L
-    report.artifact_paths.extend(["dictionary.txt", "trace.tsv"])
-    _write_report(out_dir, report)
-    _print_summary(report, out_dir, time.perf_counter() - t0)
-    return 0
+    metrics["signals"] = data.L
+    return _finish(out_dir, resolved, metrics,
+                   ["dictionary.txt", "trace.tsv"], t0)
 
 
 def cmd_denoise(args) -> int:
@@ -306,10 +303,7 @@ def cmd_denoise(args) -> int:
         if getattr(args, flag) is not None:
             raise ConfigParseError(f"--{flag.replace('_', '-')} does not "
                                    f"apply to denoise")
-    file_values = parse_config_file(args.config) if args.config else {}
-    source = args.config or "<defaults>"
-    flags = {"sigma": args.sigma, "gain": args.gain, "clean": args.clean}
-    resolved = resolve(_DENOISE_SCHEMA, file_values, flags, source)
+    resolved = _resolve_config(args, lambda engine: _DENOISE_SCHEMA)
     if resolved["sigma"] < 0:
         raise ConfigParseError("sigma must be >= 0")
     if resolved["gain"] <= 0:
@@ -334,23 +328,17 @@ def cmd_denoise(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_pgm(denoised, out_dir / "denoised.pgm")
-    report = RunReport(config_echo=resolved)
-    report.metrics["patches_coded"] = len(codes)
-    report.metrics["mean_support"] = float(codes.indptr[-1] / len(codes))
+    metrics = {"patches_coded": len(codes),
+               "mean_support": float(codes.indptr[-1] / len(codes))}
     if resolved["clean"]:
         clean = load_pgm(resolved["clean"])
-        report.metrics["psnr"] = psnr(clean, denoised)
-        report.metrics["psnr_noisy"] = psnr(clean, noisy)
-        report.metrics["psnr_conventional"] = psnr_conventional(clean, denoised)
-        report.metrics["psnr_conventional_noisy"] = \
-            psnr_conventional(clean, noisy)
-        report.metrics["psnr_gain_db"] = \
-            report.metrics["psnr_conventional"] \
-            - report.metrics["psnr_conventional_noisy"]
-    report.artifact_paths.append("denoised.pgm")
-    _write_report(out_dir, report)
-    _print_summary(report, out_dir, time.perf_counter() - t0)
-    return 0
+        metrics["psnr"] = psnr(clean, denoised)
+        metrics["psnr_noisy"] = psnr(clean, noisy)
+        metrics["psnr_conventional"] = psnr_conventional(clean, denoised)
+        metrics["psnr_conventional_noisy"] = psnr_conventional(clean, noisy)
+        metrics["psnr_gain_db"] = metrics["psnr_conventional"] \
+            - metrics["psnr_conventional_noisy"]
+    return _finish(out_dir, resolved, metrics, ["denoised.pgm"], t0)
 
 
 def build_parser() -> argparse.ArgumentParser:

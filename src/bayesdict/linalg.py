@@ -42,18 +42,6 @@ def spd_solve(factor, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
-def spd_inverse(P: np.ndarray) -> tuple[np.ndarray, float]:
-    """Invert an SPD matrix via Cholesky; returns (inverse, logdet of P).
-
-    The result is explicitly symmetrized so downstream symmetry checks
-    hold to round-off.
-    """
-    factor, logdet = spd_factor(P)
-    inv = spd_solve(factor, np.eye(P.shape[0]))
-    inv = 0.5 * (inv + inv.T)
-    return inv, logdet
-
-
 def spd_logdet(S: np.ndarray) -> float:
     """log det of an SPD matrix (e.g. a stored covariance)."""
     _, logdet = spd_factor(S)

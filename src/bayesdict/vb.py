@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .errors import NegativeResidual, NonFinite
-from .linalg import spd_factor, spd_inverse, spd_logdet, spd_solve
+from .linalg import spd_factor, spd_logdet, spd_solve
 from .model import (
     ModelConfig,
     TrainingSet,
@@ -69,19 +69,28 @@ def code_second_moments(state: VBState) -> np.ndarray:
     return state.code_means ** 2 + state.code_vars
 
 
-def moments_from_state(state: VBState) -> VBMoments:
+def _dtd(state: VBState) -> np.ndarray:
+    """<D'D> = <D>'<D> + M dict_row_cov, symmetrized."""
     M = state.dict_mean.shape[0]
+    dtd = state.dict_mean.T @ state.dict_mean + M * state.dict_row_cov
+    return 0.5 * (dtd + dtd.T)
+
+
+def _x_outer(state: VBState) -> np.ndarray:
+    """<XX'> = <X><X>' + sum_l Sigma_l, symmetrized."""
     x_mean = state.code_means
     x_outer = x_mean @ x_mean.T + state.code_cov_sum
-    x_outer = 0.5 * (x_outer + x_outer.T)
-    dtd = state.dict_mean.T @ state.dict_mean + M * state.dict_row_cov
-    dtd = 0.5 * (dtd + dtd.T)
+    return 0.5 * (x_outer + x_outer.T)
+
+
+def moments_from_state(state: VBState) -> VBMoments:
+    """Every expectation at once; the updates form only those they read."""
     return VBMoments(
-        x_mean=x_mean,
-        x_outer=x_outer,
+        x_mean=state.code_means,
+        x_outer=_x_outer(state),
         x_sq=code_second_moments(state),
         d_mean=state.dict_mean,
-        dtd=dtd,
+        dtd=_dtd(state),
         gamma_mean=state.gamma_shape / state.gamma_rate,
         alpha_mean=state.alpha_shape / state.alpha_rates,
     )
@@ -95,13 +104,11 @@ def expected_residual(state: VBState, data: TrainingSet) -> float:
     Tiny negative values from cancellation are clamped to zero; a
     materially negative value means the moments are inconsistent.
     """
-    m = moments_from_state(state)
-    fit = data.Y - m.d_mean @ m.x_mean
-    plug_outer = m.x_mean @ m.x_mean.T
-    dtd_mean = m.d_mean.T @ m.d_mean
+    D, X = state.dict_mean, state.code_means
+    fit = data.Y - D @ X
     resid = (float(np.sum(fit * fit))
-             + float(np.sum(m.dtd * m.x_outer))
-             - float(np.sum(dtd_mean * plug_outer)))
+             + float(np.sum(_dtd(state) * _x_outer(state)))
+             - float(np.sum((D.T @ D) * (X @ X.T))))
     floor = -1e-8 * float(np.sum(data.Y ** 2))
     if resid < floor:
         raise NegativeResidual(
@@ -118,17 +125,18 @@ def update_codes(state: VBState, data: TrainingSet) -> None:
     and the running sum, and dropped; log det Sigma_l = -log det P_l
     comes from the factorization.
     """
-    m = moments_from_state(state)
     N = state.dict_mean.shape[1]
-    G = m.gamma_mean * m.dtd
-    C = m.gamma_mean * (state.dict_mean.T @ data.Y)
+    gamma_mean = state.gamma_shape / state.gamma_rate
+    alpha_mean = state.alpha_shape / state.alpha_rates
+    G = gamma_mean * _dtd(state)
+    C = gamma_mean * (state.dict_mean.T @ data.Y)
     eye = np.eye(N)
     rows = np.arange(N)
     cov_sum = np.zeros((N, N))
     logdet_sum = 0.0
     for l in range(data.L):
         P = G.copy()
-        P[rows, rows] += m.alpha_mean[:, l]
+        P[rows, rows] += alpha_mean[:, l]
         factor, logdet_p = spd_factor(P)
         cov = spd_solve(factor, eye)
         state.code_means[:, l] = cov @ C[:, l]
@@ -142,13 +150,15 @@ def update_codes(state: VBState, data: TrainingSet) -> None:
 def update_dictionary_full(state: VBState, data: TrainingSet,
                            beta: float) -> None:
     """Whole-dictionary refresh: shared row covariance A and mean B A."""
-    m = moments_from_state(state)
     N = state.dict_mean.shape[1]
-    P = m.gamma_mean * m.x_outer
+    gamma_mean = state.gamma_shape / state.gamma_rate
+    P = gamma_mean * _x_outer(state)
     if np.isfinite(beta):
         P = P + (1.0 / beta) * np.eye(N)
-    A, _ = spd_inverse(P)
-    B = m.gamma_mean * (data.Y @ state.code_means.T)
+    factor, _ = spd_factor(P)
+    A = spd_solve(factor, np.eye(N))
+    A = 0.5 * (A + A.T)
+    B = gamma_mean * (data.Y @ state.code_means.T)
     state.dict_mean = B @ A
     state.dict_row_cov = A
 

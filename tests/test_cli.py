@@ -36,6 +36,24 @@ def read_files(out_dir, names):
     return {n: (out_dir / n).read_bytes() for n in names}
 
 
+def assert_report_layout(out_dir, metric_keys, artifacts):
+    """report.txt is exactly [config] (the echo), [metrics] in the given
+    key order and [artifacts], ending with the echo and the report."""
+    blocks = (out_dir / "report.txt").read_text().split("\n\n")
+    assert [b.split("\n", 1)[0] for b in blocks] \
+        == ["[config]", "[metrics]", "[artifacts]"]
+    config, metrics, files = (b.rstrip("\n").split("\n")[1:] for b in blocks)
+    assert config == (out_dir / "config_echo.cfg").read_text().splitlines()
+    assert [line.split("\t")[0] for line in metrics] == metric_keys
+    assert files == artifacts + ["config_echo.cfg", "report.txt"]
+
+
+GIBBS_TRAIN_METRICS = ["iterations_run", "kept_samples", "final_residual",
+                       "dense_fallback_columns", "signals"]
+VB_TRAIN_METRICS = ["iterations_run", "converged", "elbo_final",
+                    "final_residual", "signals"]
+
+
 # ---------------------------------------------------------------------------
 # bench-synthetic
 
@@ -61,8 +79,9 @@ def test_bench_writes_tables_and_report(tmp_path, capsys):
     assert seeds == ["0", "1"]  # trial seeds are base seed + index
 
     report = (out / "report.txt").read_text()
-    assert report.startswith("[config]\n")
-    assert "[metrics]" in report and "[artifacts]" in report
+    assert_report_layout(
+        out, ["success_rate", "cells", "trials_total", "trials_failed"],
+        ["bench_table.tsv", "bench_trials.tsv"])
     assert "wall" not in report  # timing must never enter the report file
 
     echoed = (out / "config_echo.cfg").read_text()
@@ -158,22 +177,22 @@ def test_train_gibbs_on_matrix(tmp_path):
 
     echoed = (out / "config_echo.cfg").read_text()
     assert "input_kind = matrix" in echoed  # decided kind, not "auto"
-    report = (out / "report.txt").read_text()
-    assert "final_residual" in report
-    assert "dense_fallback_columns\t" in report
-    assert "signals\t60" in report
+    assert_report_layout(out, GIBBS_TRAIN_METRICS,
+                         ["dictionary.txt", "trace.tsv"])
+    assert "signals\t60" in (out / "report.txt").read_text()
 
 
-def test_train_vb_metrics(tmp_path):
+@pytest.mark.parametrize("engine", ["vb-full", "vb-atomwise"])
+def test_train_vb_metrics(tmp_path, engine):
     data_path = make_matrix_input(tmp_path)
     out = tmp_path / "run"
     cfg = tmp_path / "train.cfg"
     cfg.write_text(f"input = {data_path}\nnum_atoms = 10\n")
-    assert run_cli("train", "--config", str(cfg), "--engine", "vb-full",
+    assert run_cli("train", "--config", str(cfg), "--engine", engine,
                    "--iters", "12", "--out", str(out)) == 0
-    report = (out / "report.txt").read_text()
-    assert "elbo_final" in report
-    assert "converged" in report
+    assert_report_layout(out, VB_TRAIN_METRICS,
+                         ["dictionary.txt", "trace.tsv"])
+    assert f"engine = {engine}" in (out / "config_echo.cfg").read_text()
     trace = (out / "trace.tsv").read_text().strip().split("\n")
     assert trace[0] == "iter\telbo\tdict_change"
     elbos = [float(line.split("\t")[1]) for line in trace[1:]]
@@ -254,10 +273,11 @@ def test_denoise_end_to_end(tmp_path):
     assert rc == 0
     den = load_pgm(out / "denoised.pgm")
     assert den.shape == (24, 24)
+    assert_report_layout(
+        out, ["patches_coded", "mean_support", "psnr", "psnr_noisy",
+              "psnr_conventional", "psnr_conventional_noisy", "psnr_gain_db"],
+        ["denoised.pgm"])
     report = (out / "report.txt").read_text()
-    for key in ("psnr", "psnr_noisy", "psnr_conventional", "psnr_gain_db",
-                "patches_coded", "mean_support"):
-        assert key in report
     assert "patches_coded\t289" in report  # (24-8+1)^2 stride-1 patches
 
 
@@ -268,6 +288,8 @@ def test_denoise_without_clean_reports_no_psnr(tmp_path):
     cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy_path}\n"
                    "sigma = 20.0\n")
     assert run_cli("denoise", "--config", str(cfg), "--out", str(out)) == 0
+    assert_report_layout(out, ["patches_coded", "mean_support"],
+                         ["denoised.pgm"])
     report = (out / "report.txt").read_text()
     assert "psnr" not in report
 
@@ -344,10 +366,12 @@ def test_bench_replay_is_byte_identical(tmp_path):
     assert read_files(out1, names) == read_files(out2, names)
 
 
-def test_train_replay_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("engine", ["gibbs", "vb-full", "vb-atomwise"])
+def test_train_replay_is_byte_identical(tmp_path, engine):
     data_path = make_matrix_input(tmp_path)
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(f"input = {data_path}\nnum_atoms = 10\niters = 8\n")
+    cfg.write_text(f"input = {data_path}\nnum_atoms = 10\niters = 8\n"
+                   f"engine = {engine}\n")
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert run_cli("train", "--config", str(cfg), "--out", str(out1)) == 0

@@ -16,7 +16,7 @@ from bayesdict import (
     update_dictionary_full,
     update_gamma,
 )
-from bayesdict.errors import SingularPrecision
+from bayesdict.errors import NegativeResidual, SingularPrecision
 from bayesdict.model import VBState
 from bayesdict.vb import code_second_moments, expected_residual
 
@@ -87,6 +87,37 @@ def test_expected_residual_monte_carlo():
         data.Y, st.code_means, covs, st.dict_mean, st.dict_row_cov,
         n_draws=100_000, seed=99)
     assert abs(got - mc) < 3.0 * se
+
+
+def test_expected_residual_rejects_negative_definite_code_covariance():
+    rng, data = make_problem(M=3, N=4, L=5, seed=1)
+    st = random_state(rng, 3, 4, 5)
+    st.code_cov_sum = -1e3 * np.eye(4)
+    with pytest.raises(NegativeResidual):
+        expected_residual(st, data)
+
+
+def exact_fit_state(shortfall):
+    """Y = <D><X> exactly and no dictionary covariance, so the expected
+    residual is tr{<D>'<D> code_cov_sum}; code_cov_sum = -eps I puts it
+    at -shortfall * 1e-8 * ||Y||^2, i.e. shortfall times the floor."""
+    rng = np.random.default_rng(7)
+    D, X = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
+    data = TrainingSet.from_matrix(D @ X)
+    st = random_state(rng, 3, 4, 5)
+    st.dict_mean, st.code_means = D, X
+    st.dict_row_cov = np.zeros((4, 4))
+    eps = shortfall * 1e-8 * np.sum(data.Y ** 2) / np.trace(D.T @ D)
+    st.code_cov_sum = -eps * np.eye(4)
+    return st, data
+
+
+def test_expected_residual_clamps_cancellation_inside_the_floor():
+    st, data = exact_fit_state(0.5)
+    assert expected_residual(st, data) == 0.0
+    st, data = exact_fit_state(2.0)
+    with pytest.raises(NegativeResidual):
+        expected_residual(st, data)
 
 
 # ---------------------------------------------------------------------------
