@@ -13,6 +13,7 @@ is printed to stdout only, which keeps reruns comparable.
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -161,6 +162,7 @@ def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
         "elbo_final": trace.elbo[-1],
         "final_residual": reconstruction_error(data.Y, state.dict_mean,
                                                state.code_means),
+        "jitter_fallback_columns": sum(trace.jitter_fallback_per_iter),
     }
     return state.dict_mean, columns, metrics
 
@@ -310,16 +312,18 @@ def cmd_denoise(args) -> int:
         raise ConfigParseError("gain must be > 0")
 
     D = load_matrix(resolved["dictionary"])
-    if D.shape[0] != 64:
+    side = math.isqrt(D.shape[0])
+    if side * side != D.shape[0]:
         raise DimensionMismatch(
-            f"denoising expects 8x8 patch atoms (64 rows), dictionary "
-            f"has {D.shape[0]}")
+            f"denoising expects square patch atoms (p*p rows, 64 for "
+            f"8x8 patches), dictionary has {D.shape[0]}")
     Dn, _ = normalize_dictionary(D)
     noisy = load_pgm(resolved["input"])
-    patches, grid = extract_patches(noisy, patch_size=8, stride=1)
+    patches, grid = extract_patches(noisy, patch_size=side, stride=1)
     means = patches.mean(axis=0) if resolved["remove_dc"] else 0.0
     patches -= means
-    threshold = resolved["gain"] * resolved["sigma"] * 8.0
+    # the noise norm of a p x p patch is about sigma * p
+    threshold = resolved["gain"] * resolved["sigma"] * side
     codes = batch_encode(Dn, patches, OmpStop(residual_threshold=threshold))
     denoised_patches = codes.reconstruct(Dn)
     denoised_patches += means

@@ -1,10 +1,11 @@
 """Symmetric positive-definite solves used by both inference engines.
 
 Every precision inverse in the toolkit goes through a Cholesky
-factorization (solve against identity or a right-hand side), never an
-unstructured matrix inverse. On a factorization failure a single jitter
-of 1e-10 * trace/n is added to the diagonal; a second failure raises
-SingularPrecision, which callers treat as a numerical blow-up.
+factorization, never an unstructured matrix inverse. On a factorization
+failure a single jitter of 1e-10 * trace/n is added to the diagonal; a
+second failure raises SingularPrecision, which callers treat as a
+numerical blow-up. The VB engine factors its precisions with LAPACK
+directly and comes here only for one that fails.
 """
 
 import numpy as np

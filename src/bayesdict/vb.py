@@ -18,8 +18,12 @@ uses the exact second-moment expansion, not a plug-in of the means.
 The other updates read q(X) only through diag(Sigma_l) (for <x_nl^2>),
 sum_l Sigma_l (for <XX'>) and sum_l log det Sigma_l (for the entropy),
 so the state keeps those three reductions instead of the L x N x N
-stack of Sigma_l; update_codes fills them from one Cholesky factor of
-each column's precision.
+stack of Sigma_l. update_codes reduces them, a block of columns at a
+time, from the inverse Cholesky factor R_l = L_l^-1 of each column's
+precision P_l = L_l L_l' (LAPACK potrf, then trtri), since
+Sigma_l = R_l' R_l; update_dictionary_full takes A the same way. A
+precision that potrf rejects goes through linalg.spd_factor's jitter
+policy instead.
 
 Two dictionary updates are provided: the whole-matrix form above and a
 sequential one-atom-at-a-time form whose per-atom covariance is a
@@ -31,10 +35,11 @@ dict_row_cov holds.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.special import digamma, gammaln
 
-from .errors import NegativeResidual, NonFinite
-from .linalg import spd_factor, spd_logdet, spd_solve
+from .errors import NegativeResidual, NonFinite, SingularPrecision
+from .linalg import spd_factor, spd_logdet
 from .model import (
     ModelConfig,
     TrainingSet,
@@ -45,6 +50,11 @@ from .model import (
 )
 
 LN_2PI = float(np.log(2.0 * np.pi))
+# Columns per block of update_codes. It bounds the one stack of N x N
+# inverse factors at _BLOCK * N^2 doubles whatever L is (16 MiB at
+# N = 256); larger blocks bought no speed at N = 50 or 256 and only
+# raised peak memory. The means and variances do not depend on it.
+_BLOCK = 32
 
 
 @dataclass
@@ -116,48 +126,90 @@ def expected_residual(state: VBState, data: TrainingSet) -> float:
     return max(resid, 0.0)
 
 
-def update_codes(state: VBState, data: TrainingSet) -> None:
+def _inverse_factors(R: np.ndarray, G: np.ndarray, diags: np.ndarray,
+                     label) -> int:
+    """Overwrite the (J, N, N) stack R with inverse Cholesky factors.
+
+    R[j] becomes L_j^-1, lower triangular, where P_j = G + diag(diags[j])
+    = L_j L_j', so P_j^-1 = R[j]' R[j]. Each P_j is factored in place by
+    LAPACK potrf and inverted by trtri; a P_j that potrf rejects is
+    factored by spd_factor under its one-shot jitter policy instead.
+    Returns how many took that path. If it fails too, SingularPrecision
+    is raised with label(j) in front of its message.
+    """
+    N = G.shape[0]
+    rows = np.arange(N)
+    R[:] = G
+    R[:, rows, rows] += diags
+    fallbacks = 0
+    for j, r in enumerate(R):
+        # r.T is the Fortran-ordered view, so LAPACK writes r in place;
+        # its upper factor U = L' is the lower factor L of r itself.
+        _, info = dpotrf(r.T, lower=0, clean=1, overwrite_a=1)
+        if info != 0:
+            P = G.copy()
+            P[rows, rows] += diags[j]
+            try:
+                (chol, _), _ = spd_factor(P)
+            except SingularPrecision as exc:
+                raise SingularPrecision(f"{label(j)}: {exc}") from exc
+            r[:] = np.tril(chol)
+            fallbacks += 1
+        dtrtri(r.T, lower=0, overwrite_c=1)
+    return fallbacks
+
+
+def update_codes(state: VBState, data: TrainingSet) -> int:
     """Closed-form refresh of every per-column code posterior.
 
-    Columns are independent given the dictionary moments, so this is a
-    loop of N x N SPD factorizations sharing the same <g><D'D> block.
-    Each Sigma_l is formed once, folded into the means, the variances
-    and the running sum, and dropped; log det Sigma_l = -log det P_l
-    comes from the factorization.
+    Columns are independent given the dictionary moments and share the
+    <g><D'D> block of their precisions. Blocks of _BLOCK columns are
+    reduced from their inverse Cholesky factors R_l (Sigma_l = R_l'R_l):
+    mu_l = R_l'(R_l c_l), diag Sigma_l as the column sums of R_l^2, the
+    block's share of sum_l Sigma_l as W'W with W the R_l stacked, and
+    log det Sigma_l = 2 sum log diag R_l; no Sigma_l is formed. Returns
+    the number of columns whose precision took spd_factor's jitter path.
     """
-    N = state.dict_mean.shape[1]
     gamma_mean = state.gamma_shape / state.gamma_rate
     alpha_mean = state.alpha_shape / state.alpha_rates
     G = gamma_mean * _dtd(state)
     C = gamma_mean * (state.dict_mean.T @ data.Y)
-    eye = np.eye(N)
-    rows = np.arange(N)
+    N = G.shape[0]
     cov_sum = np.zeros((N, N))
     logdet_sum = 0.0
-    for l in range(data.L):
-        P = G.copy()
-        P[rows, rows] += alpha_mean[:, l]
-        factor, logdet_p = spd_factor(P)
-        cov = spd_solve(factor, eye)
-        state.code_means[:, l] = cov @ C[:, l]
-        state.code_vars[:, l] = cov[rows, rows]
-        cov_sum += cov
-        logdet_sum -= logdet_p
-    state.code_cov_sum = 0.5 * (cov_sum + cov_sum.T)
+    fallbacks = 0
+    stack = np.empty((min(_BLOCK, data.L), N, N))
+    for l0 in range(0, data.L, _BLOCK):
+        cols = slice(l0, min(l0 + _BLOCK, data.L))
+        R = stack[:cols.stop - l0]
+        fallbacks += _inverse_factors(R, G, alpha_mean[:, cols].T,
+                                      lambda j: f"column {l0 + j}")
+        Rc = R @ C[:, cols].T[:, :, np.newaxis]
+        state.code_means[:, cols] = (R.transpose(0, 2, 1) @ Rc)[:, :, 0].T
+        state.code_vars[:, cols] = np.einsum("jkn,jkn->nj", R, R)
+        W = R.reshape(-1, N)
+        cov_sum += W.T @ W
+        logdet_sum += 2.0 * float(np.sum(np.log(
+            np.diagonal(R, axis1=1, axis2=2))))
+    state.code_cov_sum = cov_sum
     state.code_logdet_sum = logdet_sum
+    return fallbacks
 
 
 def update_dictionary_full(state: VBState, data: TrainingSet,
                            beta: float) -> None:
-    """Whole-dictionary refresh: shared row covariance A and mean B A."""
+    """Whole-dictionary refresh: shared row covariance A and mean B A.
+
+    A = R'R from the inverse Cholesky factor R of its precision
+    <g><XX'> + (1/beta) I (beta = inf adds nothing).
+    """
     N = state.dict_mean.shape[1]
     gamma_mean = state.gamma_shape / state.gamma_rate
-    P = gamma_mean * _x_outer(state)
-    if np.isfinite(beta):
-        P = P + (1.0 / beta) * np.eye(N)
-    factor, _ = spd_factor(P)
-    A = spd_solve(factor, np.eye(N))
-    A = 0.5 * (A + A.T)
+    R = np.empty((1, N, N))
+    _inverse_factors(R, gamma_mean * _x_outer(state),
+                     np.full((1, N), 1.0 / beta),
+                     lambda j: "dictionary row precision")
+    A = R[0].T @ R[0]
     B = gamma_mean * (data.Y @ state.code_means.T)
     state.dict_mean = B @ A
     state.dict_row_cov = A
@@ -247,6 +299,7 @@ class VBTrace:
 
     elbo: list = field(default_factory=list)
     dict_change: list = field(default_factory=list)
+    jitter_fallback_per_iter: list = field(default_factory=list)
     iterations_run: int = 0
     converged: bool = False
     max_iters_reached: bool = False
@@ -268,7 +321,7 @@ def run_vb(cfg: ModelConfig, data: TrainingSet,
     trace = VBTrace()
     for sweep in range(cfg.max_iters):
         d_prev = state.dict_mean.copy()
-        update_codes(state, data)
+        trace.jitter_fallback_per_iter.append(update_codes(state, data))
         if variant == "full":
             update_dictionary_full(state, data, cfg.beta)
         else:

@@ -51,7 +51,7 @@ def assert_report_layout(out_dir, metric_keys, artifacts):
 GIBBS_TRAIN_METRICS = ["iterations_run", "kept_samples", "final_residual",
                        "dense_fallback_columns", "signals"]
 VB_TRAIN_METRICS = ["iterations_run", "converged", "elbo_final",
-                    "final_residual", "signals"]
+                    "final_residual", "jitter_fallback_columns", "signals"]
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,7 @@ def test_train_vb_metrics(tmp_path, engine):
                    "--iters", "12", "--out", str(out)) == 0
     assert_report_layout(out, VB_TRAIN_METRICS,
                          ["dictionary.txt", "trace.tsv"])
+    assert "jitter_fallback_columns\t0" in (out / "report.txt").read_text()
     assert f"engine = {engine}" in (out / "config_echo.cfg").read_text()
     trace = (out / "trace.tsv").read_text().strip().split("\n")
     assert trace[0] == "iter\telbo\tdict_change"
@@ -345,6 +346,38 @@ def test_denoise_rejects_wrong_patch_dimension(tmp_path, capsys):
     rc = run_cli("denoise", "--config", str(cfg), "--out", str(tmp_path / "x"))
     assert rc == 1
     assert "64" in capsys.readouterr().err
+
+
+def test_denoise_takes_patch_side_from_dictionary(tmp_path):
+    """A 16-row dictionary codes 4x4 patches: (16-4+1)^2 of them."""
+    rng = np.random.default_rng(6)
+    dict_path = tmp_path / "d.txt"
+    save_matrix(rng.standard_normal((16, 24)), dict_path)
+    noisy = tmp_path / "n.pgm"
+    make_image(noisy, q=16)
+    cfg = tmp_path / "den.cfg"
+    cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy}\n"
+                   "sigma = 10\n")
+    out = tmp_path / "den"
+    assert run_cli("denoise", "--config", str(cfg), "--out", str(out)) == 0
+    assert load_pgm(out / "denoised.pgm").shape == (16, 16)
+    assert "patches_coded\t169" in (out / "report.txt").read_text()
+
+
+def test_denoise_rejects_non_square_atom_length(tmp_path, capsys):
+    dict_path = tmp_path / "d.txt"
+    save_matrix(np.random.default_rng(7).standard_normal((48, 10)),
+                dict_path)
+    noisy = tmp_path / "n.pgm"
+    make_image(noisy, q=16)
+    cfg = tmp_path / "den.cfg"
+    cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy}\n"
+                   "sigma = 10\n")
+    rc = run_cli("denoise", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has 48" in err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from bayesdict import (
     update_dictionary_full,
     update_gamma,
 )
+from bayesdict import vb
 from bayesdict.errors import NegativeResidual, SingularPrecision
+from bayesdict.linalg import JITTER_SCALE
 from bayesdict.model import VBState
 from bayesdict.vb import code_second_moments, expected_residual
 
@@ -211,6 +213,79 @@ def test_update_codes_is_columnwise_independent():
                                                  rel=1e-14)
 
 
+def clone_vb(st):
+    return VBState(**{k: np.copy(v) if isinstance(v, np.ndarray) else v
+                      for k, v in vars(st).items()})
+
+
+def test_update_codes_independent_of_block_size(monkeypatch):
+    """Each column's mean and variance come from per-column calls only,
+    so they are bit-equal whatever block the column lands in; the sums
+    over columns differ only by summation-order round-off."""
+    rng, data = make_problem(M=3, N=4, L=20, seed=22)
+    base = random_state(rng, 3, 4, 20)
+    states = []
+    for block in (1, 7, data.L):
+        monkeypatch.setattr(vb, "_BLOCK", block)
+        st = clone_vb(base)
+        assert update_codes(st, data) == 0
+        states.append(st)
+    for st in states[1:]:
+        np.testing.assert_array_equal(st.code_means, states[0].code_means)
+        np.testing.assert_array_equal(st.code_vars, states[0].code_vars)
+        np.testing.assert_allclose(st.code_cov_sum, states[0].code_cov_sum,
+                                   rtol=1e-14)
+        assert st.code_logdet_sum == pytest.approx(
+            states[0].code_logdet_sum, rel=1e-14)
+
+
+def test_update_codes_column_needing_jitter_matches_jittered_oracle():
+    """Atom 1 is zero and column 2 gives it no prior precision, so that
+    column's precision has an exactly zero pivot: it takes spd_factor's
+    one-shot jitter, and its posterior is the dense one of the jittered
+    precision. The other columns are untouched by it."""
+    rng, data = make_problem(M=3, N=4, L=5, seed=23)
+    st = random_state(rng, 3, 4, 5)
+    st.dict_mean[:, 1] = 0.0
+    st.dict_row_cov[1, :] = st.dict_row_cov[:, 1] = 0.0
+    st.alpha_rates[1, 2] = np.inf  # <alpha_12> = 0
+    pre = moments_from_state(st)
+    assert update_codes(st, data) == 1
+    covs = []
+    for l in range(data.L):
+        alpha_col = pre.alpha_mean[:, l].copy()
+        if l == 2:
+            P = pre.gamma_mean * pre.dtd + np.diag(alpha_col)
+            alpha_col += JITTER_SCALE * np.trace(P) / 4
+        mu, Sigma = oracles.code_posterior_dense(
+            st.dict_mean, pre.dtd, alpha_col, pre.gamma_mean, data.Y[:, l])
+        np.testing.assert_allclose(st.code_means[:, l], mu, rtol=1e-10,
+                                   atol=1e-12)
+        covs.append(Sigma)
+    want = oracles.reduce_code_covs(np.stack(covs))
+    np.testing.assert_allclose(st.code_vars, want["code_vars"], rtol=1e-10)
+    np.testing.assert_allclose(st.code_cov_sum, want["code_cov_sum"],
+                               rtol=1e-10, atol=1e-12)
+    assert st.code_logdet_sum == pytest.approx(want["code_logdet_sum"],
+                                               rel=1e-10)
+
+
+@pytest.mark.parametrize("block", [2, 32])
+def test_update_codes_names_the_column_with_indefinite_precision(
+        monkeypatch, block):
+    """A row covariance with a negative eigenvalue makes <D'D> indefinite;
+    only column 3 has too little prior precision to cover it, and the
+    error names that column whichever block it falls in."""
+    monkeypatch.setattr(vb, "_BLOCK", block)
+    rng, data = make_problem(M=3, N=4, L=5, seed=24)
+    st = random_state(rng, 3, 4, 5)
+    st.dict_row_cov = -np.eye(4)
+    st.alpha_rates[:] = st.alpha_shape / 1e3  # <alpha> = 1e3
+    st.alpha_rates[:, 3] = st.alpha_shape / 1e-3
+    with pytest.raises(SingularPrecision, match=r"^column 3: "):
+        update_codes(st, data)
+
+
 def test_code_posterior_state_does_not_grow_with_l_times_n_squared():
     """q(X) is held as reductions: no array in the state has more than
     max(N*L, N^2) entries, where the per-column stack had L*N^2."""
@@ -234,6 +309,18 @@ def test_update_dictionary_full_matches_dense_oracle(beta):
         data.Y, pre.x_mean, pre.x_outer, pre.gamma_mean, beta)
     np.testing.assert_allclose(st.dict_mean, D_mean, rtol=1e-10)
     np.testing.assert_allclose(st.dict_row_cov, A, rtol=1e-10)
+
+
+def test_update_dictionary_full_names_its_singular_precision():
+    """All-zero code moments under a flat prior leave q(D) with a zero
+    precision, which no jitter of 1e-10 * trace / N can repair."""
+    rng, data = make_problem(M=3, N=4, L=5, seed=25)
+    st = random_state(rng, 3, 4, 5)
+    st.code_means[:] = 0.0
+    st.code_cov_sum[:] = 0.0
+    with pytest.raises(SingularPrecision,
+                       match=r"^dictionary row precision: "):
+        update_dictionary_full(st, data, beta=np.inf)
 
 
 def test_dictionary_fit_with_identity_codes_returns_data():
