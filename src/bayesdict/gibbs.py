@@ -8,9 +8,12 @@ seeded generator drives every draw in a fixed order.
 
 The code step is exact but works in the M-dimensional data space rather
 than in coefficient space: D'D has rank at most M, so each column's
-conditional is drawn with one M x M solve (Bhattacharya, Chakraborty &
-Mallick, Biometrika 2016), batched over blocks of columns. That solve
-loses about eps * kappa_l of relative accuracy, with
+conditional is drawn with one M x M SPD solve (Bhattacharya, Chakraborty
+& Mallick, Biometrika 2016). Only the lower triangle of each system is
+formed, packed, by one GEMM per block of columns; LAPACK dppsv then
+factors and solves each column's packed system in one call, and a
+failure raises SingularPrecision naming the column. That solve loses
+about eps * kappa_l of relative accuracy, with
 kappa_l = 1 + g sum_n ||d_n||^2 / alpha_nl bounding its condition
 number, so columns with kappa_l above _KAPPA_MAX are drawn by a dense
 N x N Cholesky factorization instead; ChainTrace counts them per sweep.
@@ -21,8 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dppsv
 
-from .errors import EmptyTrace, NonFinite, TailLargerThanTrace
+from .errors import (
+    EmptyTrace,
+    NonFinite,
+    SingularPrecision,
+    TailLargerThanTrace,
+)
 from .linalg import spd_factor, spd_solve
 from .model import (
     GibbsState,
@@ -35,8 +44,8 @@ from .model import (
 )
 
 _TINY = np.finfo(np.float64).tiny
-# Columns per batched data-space solve in sample_codes. It bounds the
-# per-block temporaries (normals, the M x M systems) whatever L is; the
+# Columns per block in sample_codes. It bounds the per-block
+# temporaries (normals, the packed M x M systems) whatever L is; the
 # draws do not depend on it.
 _BLOCK = 64
 # kappa_l above this sends a column to the dense draw: the data-space
@@ -60,18 +69,21 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
 
     With phi = sqrt(g) D, column l takes N + M standard normals z, sets
     u = z[:N] / sqrt(alpha_l) ~ N(0, A_l^-1) and delta = z[N:], solves
-    (I_M + phi A_l^-1 phi') w = sqrt(g) y_l - phi u - delta and returns
-    u + A_l^-1 phi' w, an exact draw. The normals are drawn one row per
-    column, so the stream does not depend on the block size. Columns
-    with kappa_l > _KAPPA_MAX are drawn densely from their first N
-    normals instead. Returns the number of such columns.
+    S_l w = sqrt(g) y_l - phi u - delta with S_l = I_M + phi A_l^-1 phi'
+    and returns u + A_l^-1 phi' w, an exact draw. S_l is SPD, so only
+    its lower triangle is formed, packed (one GEMM per block against
+    _packed_outer's K), and LAPACK dppsv factors and solves it in one
+    call per column; a failure raises SingularPrecision starting
+    "column <l>: ". The normals are drawn one row per column, so the
+    stream does not depend on the block size. Columns with
+    kappa_l > _KAPPA_MAX are drawn densely from their first N normals
+    instead. Returns the number of such columns.
     """
     D, rng = state.D, state.rng
     M, N = D.shape
     root_g = np.sqrt(state.gamma)
     phi = root_g * D
-    # K[n] = vec(phi_n phi_n'), so (1/alpha_l)' K = vec(phi A_l^-1 phi')
-    K = np.einsum("in,jn->nij", phi, phi).reshape(N, M * M)
+    K, diag = _packed_outer(phi)
     norms2 = np.einsum("in,in->n", phi, phi)
     G = None
     n_dense = 0
@@ -85,10 +97,15 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
         # the dense draws below replace these rows; zeroing keeps S finite
         inv_alpha[dense] = 0.0
         S = inv_alpha @ K
-        S[:, ::M + 1] += 1.0
-        rhs = root_g * data.Y[:, cols].T - u @ phi.T - z[:, N:]
-        w = np.linalg.solve(S.reshape(-1, M, M), rhs[:, :, np.newaxis])
-        state.X[:, cols] = (u + inv_alpha * (w[:, :, 0] @ phi)).T
+        S[:, diag] += 1.0
+        w = root_g * data.Y[:, cols].T - u @ phi.T - z[:, N:]
+        for j in range(w.shape[0]):
+            w[j], info = dppsv(M, S[j], w[j], overwrite_b=1)
+            if info:
+                raise SingularPrecision(
+                    f"column {l0 + j}: data-space system is not positive "
+                    f"definite (dppsv info {info})")
+        state.X[:, cols] = (u + inv_alpha * (w @ phi)).T
         if dense.size:
             if G is None:
                 G = state.gamma * (D.T @ D)
@@ -98,6 +115,26 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
                     state.alpha[:, l0 + j], z[j, :N])
             n_dense += dense.size
     return n_dense
+
+
+def _packed_outer(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K (N x M(M+1)/2) with K[n] = phi_n phi_n' packed, and its diagonal.
+
+    Entries run in np.tril_indices(M) order, which is LAPACK's
+    column-major 'U' packed layout of a symmetric matrix, so
+    (1/alpha_l)' K is phi A_l^-1 phi' packed for dppsv. Triangle row i
+    is one slice, filled in place. Also returns the positions of the
+    diagonal entries.
+    """
+    M, N = phi.shape
+    K = np.empty((N, M * (M + 1) // 2))
+    phi_t = phi.T
+    for i in range(M):
+        start = i * (i + 1) // 2
+        np.multiply(phi_t[:, :i + 1], phi_t[:, i:i + 1],
+                    out=K[:, start:start + i + 1])
+    rows = np.arange(M)
+    return K, rows * (rows + 3) // 2
 
 
 def _dense_draw(G: np.ndarray, c: np.ndarray, alpha_col: np.ndarray,
@@ -128,9 +165,12 @@ def sample_atoms(state: GibbsState, data: TrainingSet, beta: float) -> None:
 
 def sample_alpha(state: GibbsState, cfg: ModelConfig) -> None:
     """alpha_nl ~ Gamma(a + 1/2, b + x_nl^2 / 2), independently."""
-    rates = cfg.b + 0.5 * state.X ** 2
-    draws = state.rng.gamma(cfg.a + 0.5, 1.0 / rates)
-    state.alpha = np.maximum(draws, _TINY)
+    scale = np.square(state.X)  # one N x L buffer: 1 / (b + x^2 / 2)
+    scale *= 0.5
+    scale += cfg.b
+    np.reciprocal(scale, out=scale)
+    draws = state.rng.gamma(cfg.a + 0.5, scale)
+    state.alpha = np.maximum(draws, _TINY, out=draws)
 
 
 def sample_gamma(state: GibbsState, data: TrainingSet,

@@ -123,6 +123,49 @@ def sample_codes_dense(state, data, normals=None):
             chol, z, lower=True, trans=1)
 
 
+def sample_codes_lu(state, data, block=64, kappa_max=1e6):
+    """Data-space draw of every code column by a batched general LU solve.
+
+    The full M x M system I + phi A_l^-1 phi' (phi = sqrt(g) D) of each
+    column comes from one GEMM against the N x M^2 matrix whose row n is
+    vec(phi_n phi_n'), and np.linalg.solve factors a block of them by LU.
+    It takes the sampler's normals stream (one row of N + M per column,
+    in blocks of `block`). Columns with kappa_l > kappa_max are drawn in
+    coefficient space from their first N normals, by a lower Cholesky
+    factor of their N x N precision. Returns the number of such columns.
+    """
+    D, rng = state.D, state.rng
+    M, N = D.shape
+    root_g = np.sqrt(state.gamma)
+    phi = root_g * D
+    K = np.einsum("in,jn->nij", phi, phi).reshape(N, M * M)
+    norms2 = np.einsum("in,in->n", phi, phi)
+    n_dense = 0
+    for l0 in range(0, data.L, block):
+        cols = slice(l0, min(l0 + block, data.L))
+        z = rng.standard_normal((cols.stop - l0, N + M))
+        inv_alpha = 1.0 / state.alpha[:, cols].T
+        u = z[:, :N] * np.sqrt(inv_alpha)
+        with np.errstate(over="ignore"):
+            dense = np.flatnonzero(1.0 + inv_alpha @ norms2 > kappa_max)
+        inv_alpha[dense] = 0.0
+        S = inv_alpha @ K
+        S[:, ::M + 1] += 1.0
+        rhs = root_g * data.Y[:, cols].T - u @ phi.T - z[:, N:]
+        w = np.linalg.solve(S.reshape(-1, M, M), rhs[:, :, np.newaxis])
+        state.X[:, cols] = (u + inv_alpha * (w[:, :, 0] @ phi)).T
+        for j in dense:
+            l = l0 + j
+            P = state.gamma * (D.T @ D) + np.diag(state.alpha[:, l])
+            chol = scipy.linalg.cholesky(P, lower=True)
+            mean = scipy.linalg.cho_solve(
+                (chol, True), state.gamma * (D.T @ data.Y[:, l]))
+            state.X[:, l] = mean + scipy.linalg.solve_triangular(
+                chol, z[j, :N], lower=True, trans=1)
+        n_dense += dense.size
+    return n_dense
+
+
 def atom_conditional_moments(D, X, Y, gamma, beta, n):
     """Exact mean and scalar variance of d_n | D_{-n}, X, gamma, Y."""
     deflated = Y - D @ X + np.outer(D[:, n], X[n, :])
