@@ -95,7 +95,6 @@ def _train_schema(engine: str) -> dict:
         "input": ("str", REQUIRED),
         "input_kind": ("str", "auto"),
         "stride": ("int", "2"),
-        "patch_size": ("int", "8"),
         "num_atoms": ("int", "256"),
         "remove_dc": ("bool", "false"),
     })
@@ -268,8 +267,7 @@ def _load_training_input(resolved: dict) -> tuple[np.ndarray, str]:
         kind = "image" if resolved["input"].endswith(".pgm") else "matrix"
     if kind == "image":
         img = load_pgm(resolved["input"])
-        Y, _ = extract_patches(img, patch_size=resolved["patch_size"],
-                               stride=resolved["stride"])
+        Y, _ = extract_patches(img, patch_size=8, stride=resolved["stride"])
     elif kind == "matrix":
         Y = load_matrix(resolved["input"])
     else:

@@ -216,32 +216,6 @@ def test_train_on_image_patches(tmp_path):
     assert "signals\t25" in (out / "report.txt").read_text()
 
 
-def test_train_patch_size_feeds_denoise(tmp_path):
-    """patch_size = 4 learns a 16-row dictionary that denoise takes as
-    4x4 atoms; the echo records the patch size."""
-    img_path = tmp_path / "img.pgm"
-    make_image(img_path, q=16)
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(f"input = {img_path}\nnum_atoms = 12\niters = 3\n"
-                   "patch_size = 4\n")
-    train_out = tmp_path / "train_run"
-    assert run_cli("train", "--config", str(cfg), "--out",
-                   str(train_out)) == 0
-    assert load_matrix(train_out / "dictionary.txt").shape == (16, 12)
-    assert "patch_size = 4" in (train_out / "config_echo.cfg").read_text()
-    # 16x16 image, stride 2: offsets 0,2,...,12 -> 49 patches
-    assert "signals\t49" in (train_out / "report.txt").read_text()
-
-    den_cfg = tmp_path / "den.cfg"
-    den_cfg.write_text(f"dictionary = {train_out / 'dictionary.txt'}\n"
-                       f"input = {img_path}\nsigma = 10\n")
-    out = tmp_path / "den"
-    assert run_cli("denoise", "--config", str(den_cfg), "--out",
-                   str(out)) == 0
-    assert load_pgm(out / "denoised.pgm").shape == (16, 16)
-    assert "patches_coded\t169" in (out / "report.txt").read_text()
-
-
 def test_train_missing_input_fails_cleanly(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("input = /nonexistent/file.txt\n")
