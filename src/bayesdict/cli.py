@@ -13,9 +13,11 @@ is printed to stdout only, which keeps reruns comparable.
 """
 
 import argparse
+import itertools
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from .errors import BayesdictError, ConfigParseError, DimensionMismatch
 from .fileio import load_matrix, load_pgm, save_matrix, save_pgm
 from .gibbs import estimate_dictionary, run_gibbs
 from .metrics import (
+    SUCCESS_THRESHOLD,
     match_and_score,
     psnr,
     psnr_conventional,
@@ -43,35 +46,24 @@ from .synthetic import SyntheticSpec, generate_synthetic
 from .vb import run_vb
 
 ENGINES = ("vb-full", "vb-atomwise", "gibbs")
-
-_ENGINE_KEYS = {
-    "engine": ("str", "gibbs"),
-    "seed": ("int", "0"),
-    "burn_in": ("int", "0"),
-    "tol": ("float", "1e-06"),
-    "a": ("float", "0.5"),
-    "b": ("float", "1e-06"),
-    "c": ("float", "0.5"),
-    "d": ("float", "1e-06"),
-    "thinning": ("int", "1"),
-    "dict_estimate_mode": ("str", "last_sample"),
-}
+_KEYS = {"max_iters": "iters"}  # ModelConfig field -> config key, if renamed
 
 
 def _engine_schema(engine: str) -> dict:
-    """Schema keys whose defaults depend on the engine: a diffuse atom
-    prior (beta=1e8) for the VB engines versus beta=1 for Gibbs, and a
-    sweep budget of 500 for VB, 300 for Gibbs."""
+    """Keys shared by the engine commands: engine, and every ModelConfig
+    field but num_atoms with ModelConfig's default (max_iters under the
+    key iters). Gibbs overrides two: beta=1 instead of the VB engines'
+    diffuse atom prior 1e8, and 300 sweeps instead of 500."""
     if engine not in ENGINES:
         raise ConfigParseError(
             f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
-    schema = dict(_ENGINE_KEYS)
-    if engine == "gibbs":
-        schema["beta"] = ("float", "1.0")
-        schema["iters"] = ("int", "300")
-    else:
-        schema["beta"] = ("float", "100000000.0")
-        schema["iters"] = ("int", "500")
+    overrides = {"beta": 1.0, "max_iters": 300} if engine == "gibbs" else {}
+    schema = {"engine": ("str", "gibbs")}
+    for f in fields(ModelConfig):
+        if f.name != "num_atoms":
+            default = overrides.get(f.name, f.default)
+            schema[_KEYS.get(f.name, f.name)] = (type(default).__name__,
+                                                 format_value(default))
     return schema
 
 
@@ -84,7 +76,7 @@ def _bench_schema(engine: str) -> dict:
         "snr_grid": ("float_list", "30.0"),
         "k_grid": ("sparsity_list", "3"),
         "trials": ("int", "5"),
-        "success_threshold": ("float", "0.01"),
+        "success_threshold": ("float", format_value(SUCCESS_THRESHOLD)),
     })
     return schema
 
@@ -112,18 +104,9 @@ _DENOISE_SCHEMA = {
 
 
 def _model_config(resolved: dict, seed: int) -> ModelConfig:
-    return ModelConfig(
-        num_atoms=resolved["num_atoms"],
-        a=resolved["a"], b=resolved["b"],
-        c=resolved["c"], d=resolved["d"],
-        beta=resolved["beta"],
-        max_iters=resolved["iters"],
-        burn_in=resolved["burn_in"],
-        tol=resolved["tol"],
-        seed=seed,
-        thinning=resolved["thinning"],
-        dict_estimate_mode=resolved["dict_estimate_mode"],
-    )
+    return ModelConfig(**{
+        f.name: resolved[_KEYS.get(f.name, f.name)] for f in fields(ModelConfig)
+        if f.name != "seed"}, seed=seed)
 
 
 def _resolve_config(args, schema_for) -> dict:
@@ -167,6 +150,15 @@ def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
     return state.dict_mean, columns, metrics
 
 
+def _fmt_rate(rate: float) -> str:
+    return "nan" if np.isnan(rate) else f"{rate:.6f}"
+
+
+def _write_tsv(path: Path, rows) -> None:
+    """One tab-separated line per row, fields through str()."""
+    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows))
+
+
 def _finish(out_dir: Path, resolved: dict, metrics: dict, artifacts: list,
             t0: float) -> int:
     """Write config_echo.cfg and report.txt, then print the metrics and
@@ -197,52 +189,39 @@ def cmd_bench_synthetic(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trial_rows = []
-    cell_rows = []
+    table = [("engine", "L", "snr_db", "K", "trials", "completed",
+              "mean_success_rate")]
+    per_trial = [("engine", "L", "snr_db", "K", "trial", "seed", "status",
+                  "success_rate")]
     all_rates = []
     failures = 0
-    for L in resolved["L_grid"]:
-        for snr in resolved["snr_grid"]:
-            for k in resolved["k_grid"]:
-                rates = []
-                for t in range(resolved["trials"]):
-                    tseed = resolved["seed"] + t
-                    try:
-                        rate = _bench_trial(resolved, engine, L, snr, k, tseed)
-                        status = "ok"
-                        rates.append(rate)
-                    except BayesdictError as exc:
-                        rate = float("nan")
-                        status = f"error:{type(exc).__name__}"
-                        failures += 1
-                    trial_rows.append((engine, L, snr, k, t, tseed,
-                                       status, rate))
-                mean = float(np.mean(rates)) if rates else float("nan")
-                cell_rows.append((engine, L, snr, k, resolved["trials"],
-                                  len(rates), mean))
-                all_rates.extend(rates)
-
-    def fmt_rate(r):
-        return "nan" if np.isnan(r) else f"{r:.6f}"
-
-    table = ["engine\tL\tsnr_db\tK\ttrials\tcompleted\tmean_success_rate"]
-    for engine_, L, snr, k, trials, done, mean in cell_rows:
-        table.append(f"{engine_}\t{L}\t{format_value(snr)}\t{format_value(k)}"
-                     f"\t{trials}\t{done}\t{fmt_rate(mean)}")
-    (out_dir / "bench_table.tsv").write_text("\n".join(table) + "\n")
-
-    per_trial = ["engine\tL\tsnr_db\tK\ttrial\tseed\tstatus\tsuccess_rate"]
-    for engine_, L, snr, k, t, tseed, status, rate in trial_rows:
-        per_trial.append(f"{engine_}\t{L}\t{format_value(snr)}"
-                         f"\t{format_value(k)}\t{t}\t{tseed}\t{status}"
-                         f"\t{fmt_rate(rate)}")
-    (out_dir / "bench_trials.tsv").write_text("\n".join(per_trial) + "\n")
+    for L, snr, k in itertools.product(resolved["L_grid"],
+                                       resolved["snr_grid"],
+                                       resolved["k_grid"]):
+        cell = (engine, L, format_value(snr), format_value(k))
+        rates = []
+        for t in range(resolved["trials"]):
+            tseed = resolved["seed"] + t
+            try:
+                rate = _bench_trial(resolved, engine, L, snr, k, tseed)
+                status = "ok"
+                rates.append(rate)
+            except BayesdictError as exc:
+                rate = float("nan")
+                status = f"error:{type(exc).__name__}"
+                failures += 1
+            per_trial.append((*cell, t, tseed, status, _fmt_rate(rate)))
+        mean = float(np.mean(rates)) if rates else float("nan")
+        table.append((*cell, resolved["trials"], len(rates), _fmt_rate(mean)))
+        all_rates.extend(rates)
+    _write_tsv(out_dir / "bench_table.tsv", table)
+    _write_tsv(out_dir / "bench_trials.tsv", per_trial)
 
     metrics = {
         "success_rate": float(np.mean(all_rates)) if all_rates
         else float("nan"),
-        "cells": len(cell_rows),
-        "trials_total": len(trial_rows),
+        "cells": len(table) - 1,
+        "trials_total": len(per_trial) - 1,
         "trials_failed": failures,
     }
     # per-trial failures are nonfatal by contract; they are counted above
@@ -289,10 +268,10 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     D, columns, metrics = _fit(resolved["engine"], mcfg, data)
-    lines = ["\t".join(["iter", *columns])]
-    for i, row in enumerate(zip(*columns.values()), start=1):
-        lines.append("\t".join([str(i), *map(repr, row)]))
-    (out_dir / "trace.tsv").write_text("\n".join(lines) + "\n")
+    _write_tsv(out_dir / "trace.tsv",
+               [("iter", *columns)]
+               + [(i, *map(repr, row)) for i, row
+                  in enumerate(zip(*columns.values()), start=1)])
     save_matrix(D, out_dir / "dictionary.txt")
     metrics["signals"] = data.L
     return _finish(out_dir, resolved, metrics,

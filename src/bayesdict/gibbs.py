@@ -32,7 +32,7 @@ from .errors import (
     SingularPrecision,
     TailLargerThanTrace,
 )
-from .linalg import spd_factor, spd_solve
+from .linalg import spd_factor
 from .model import (
     GibbsState,
     ModelConfig,
@@ -141,16 +141,15 @@ def _dense_draw(G: np.ndarray, c: np.ndarray, alpha_col: np.ndarray,
                 z: np.ndarray) -> np.ndarray:
     """One column drawn from N(P^-1 c, P^-1), P = G + diag(alpha_col).
 
-    Factors P = R'R (R the upper Cholesky factor) under spd_factor's
-    jitter policy and returns P^-1 c + R^-1 z, so no covariance is
-    formed.
+    Factors P = LL' under spd_factor's jitter policy and returns
+    L'^-1 (L^-1 c + z) = P^-1 c + L'^-1 z, so no covariance is formed.
     """
     P = G.copy()
     P[np.diag_indices_from(P)] += alpha_col
     (chol, _), _ = spd_factor(P)
-    mean = spd_solve((chol, True), c)
-    return mean + scipy.linalg.solve_triangular(
-        chol, z, lower=True, trans=1, check_finite=False)
+    w = scipy.linalg.solve_triangular(chol, c, lower=True, check_finite=False)
+    return scipy.linalg.solve_triangular(chol, w + z, lower=True, trans=1,
+                                         check_finite=False)
 
 
 def sample_atoms(state: GibbsState, data: TrainingSet, beta: float) -> None:

@@ -1,4 +1,4 @@
-"""Symmetric positive-definite solves used by both inference engines.
+"""Symmetric positive-definite factorizations used by both inference engines.
 
 Every precision inverse in the toolkit goes through a Cholesky
 factorization, never an unstructured matrix inverse. On a factorization
@@ -19,8 +19,8 @@ JITTER_SCALE = 1e-10
 def spd_factor(P: np.ndarray):
     """Cholesky-factor an SPD matrix with the one-shot jitter policy.
 
-    Returns a (cho_factor, logdet_of_P) pair; the factor feeds
-    scipy.linalg.cho_solve.
+    Returns a (cho_factor, logdet_of_P) pair; the factor is lower
+    triangular, for scipy.linalg.solve_triangular or cho_solve.
     """
     try:
         c, low = scipy.linalg.cho_factor(P, lower=True, check_finite=False)
@@ -36,11 +36,6 @@ def spd_factor(P: np.ndarray):
                 f"after jitter {jitter:g}") from exc
     logdet = 2.0 * np.sum(np.log(np.diag(c)))
     return (c, low), logdet
-
-
-def spd_solve(factor, b: np.ndarray) -> np.ndarray:
-    """Solve P x = b given a factor from spd_factor."""
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def spd_logdet(S: np.ndarray) -> float:

@@ -57,10 +57,10 @@ def match_and_score(D_true: np.ndarray, D_learned: np.ndarray,
     Repeatedly pairs the closest remaining (true, learned) columns until
     either side is exhausted; success_rate is the fraction of true atoms
     whose match lies under the threshold (unmatched true atoms count as
-    failures).
+    failures). An empty true dictionary has no rate and is rejected.
     """
     if D_true.ndim != 2 or D_learned.ndim != 2 \
-            or D_true.shape[0] != D_learned.shape[0]:
+            or D_true.shape[0] != D_learned.shape[0] or D_true.shape[1] == 0:
         raise ShapeMismatch(
             f"dictionaries not comparable: {D_true.shape} vs {D_learned.shape}")
     dist = _distance_matrix(D_true, D_learned)

@@ -132,6 +132,44 @@ def test_bench_gibbs_default_chain_length(tmp_path):
     assert "iters = 300" in echoed
 
 
+DEFAULT_BENCH_ECHO = """\
+L_grid = 4
+M = 20
+a = 0.5
+b = 1e-06
+beta = {beta}
+burn_in = 0
+c = 0.5
+d = 1e-06
+dict_estimate_mode = last_sample
+engine = {engine}
+iters = {iters}
+k_grid = 2
+num_atoms = 50
+seed = 0
+snr_grid = 20.0
+success_threshold = 0.01
+thinning = 1
+tol = 1e-06
+trials = 5
+"""
+
+
+@pytest.mark.parametrize("engine, beta, iters", [
+    ("gibbs", "1.0", "300"),
+    ("vb-full", "100000000.0", "500"),
+])
+def test_bench_echoes_every_default(tmp_path, engine, beta, iters):
+    """With only the grid set, the echo is every default, formatted."""
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("L_grid = 4\nsnr_grid = 20.0\nk_grid = 2\n")
+    out = tmp_path / "run"
+    assert run_cli("bench-synthetic", "--config", str(cfg),
+                   "--engine", engine, "--out", str(out)) == 0
+    assert (out / "config_echo.cfg").read_text() == DEFAULT_BENCH_ECHO.format(
+        engine=engine, beta=beta, iters=iters)
+
+
 def test_bench_rejects_bad_grid(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("L_grid =\n")

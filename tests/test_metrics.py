@@ -111,6 +111,14 @@ def test_match_shape_errors():
         match_and_score(np.eye(3), np.ones(3))
 
 
+def test_match_rejects_empty_true_dictionary():
+    # no true atoms means no rate to report, so a typed error, not 0/0
+    with pytest.raises(ShapeMismatch):
+        match_and_score(np.zeros((4, 0)), np.eye(4))
+    # an empty learned dictionary still matches nothing
+    assert match_and_score(np.eye(4), np.zeros((4, 0))).success_rate == 0.0
+
+
 def test_psnr_printed_formula_and_conventional():
     clean = np.zeros((4, 4))
     test = np.full((4, 4), 2.0)
