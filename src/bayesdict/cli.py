@@ -45,22 +45,27 @@ from .patches import extract_patches, reassemble_image
 from .synthetic import SyntheticSpec, generate_synthetic
 from .vb import run_vb
 
-ENGINES = ("vb-full", "vb-atomwise", "gibbs")
+ENGINES = ("gibbs", "vb-full", "vb-atomwise")  # the first is the default
 _KEYS = {"max_iters": "iters"}  # ModelConfig field -> config key, if renamed
 
 
 def _engine_schema(engine: str) -> dict:
     """Keys shared by the engine commands: engine, and every ModelConfig
-    field but num_atoms with ModelConfig's default (max_iters under the
-    key iters). Gibbs overrides two: beta=1 instead of the VB engines'
-    diffuse atom prior 1e8, and 300 sweeps instead of 500."""
+    field but num_atoms that the engine reads (tol only for VB; burn_in,
+    thinning and dict_estimate_mode only for Gibbs), with ModelConfig's
+    default (max_iters under the key iters). Gibbs overrides two: beta=1
+    instead of the VB engines' diffuse atom prior 1e8, and 300 sweeps
+    instead of 500."""
     if engine not in ENGINES:
         raise ConfigParseError(
             f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
-    overrides = {"beta": 1.0, "max_iters": 300} if engine == "gibbs" else {}
-    schema = {"engine": ("str", "gibbs")}
+    gibbs = engine == "gibbs"
+    overrides = {"beta": 1.0, "max_iters": 300} if gibbs else {}
+    unread = ("tol",) if gibbs else ("burn_in", "thinning",
+                                      "dict_estimate_mode")
+    schema = {"engine": ("str", ENGINES[0])}
     for f in fields(ModelConfig):
-        if f.name != "num_atoms":
+        if f.name not in ("num_atoms", *unread):
             default = overrides.get(f.name, f.default)
             schema[_KEYS.get(f.name, f.name)] = (type(default).__name__,
                                                  format_value(default))
@@ -85,7 +90,6 @@ def _train_schema(engine: str) -> dict:
     schema = _engine_schema(engine)
     schema.update({
         "input": ("str", REQUIRED),
-        "input_kind": ("str", "auto"),
         "stride": ("int", "2"),
         "num_atoms": ("int", "256"),
         "remove_dc": ("bool", "false"),
@@ -104,9 +108,11 @@ _DENOISE_SCHEMA = {
 
 
 def _model_config(resolved: dict, seed: int) -> ModelConfig:
+    """A field the engine's schema omits keeps ModelConfig's default."""
     return ModelConfig(**{
-        f.name: resolved[_KEYS.get(f.name, f.name)] for f in fields(ModelConfig)
-        if f.name != "seed"}, seed=seed)
+        f.name: resolved[key] for f in fields(ModelConfig)
+        if (key := _KEYS.get(f.name, f.name)) in resolved
+        and f.name != "seed"}, seed=seed)
 
 
 def _resolve_config(args, schema_for) -> dict:
@@ -114,10 +120,18 @@ def _resolve_config(args, schema_for) -> dict:
     flag that shares a schema key's name (--seed, --sigma, ...).
 
     schema_for takes the engine the run will use (flag, else file, else
-    gibbs), so an engine command's defaults follow that engine.
+    the default), so an engine command's keys and defaults follow that
+    engine. A flag set for a key outside the schema is rejected.
     """
     file_values = parse_config_file(args.config) if args.config else {}
-    schema = schema_for(args.engine or file_values.get("engine", "gibbs"))
+    engine = args.engine or file_values.get("engine", ENGINES[0])
+    schema = schema_for(engine)
+    for key, value in vars(args).items():
+        if value is not None and key not in (*schema, "command", "config",
+                                             "out"):
+            raise ConfigParseError(
+                f"--{key.replace('_', '-')} does not apply to "
+                f"{engine if 'engine' in schema else args.command}")
     return resolve(schema, file_values, vars(args),
                    args.config or "<defaults>")
 
@@ -240,28 +254,16 @@ def _bench_trial(resolved: dict, engine: str, L: int, snr: float, k,
                            resolved["success_threshold"]).success_rate
 
 
-def _load_training_input(resolved: dict) -> tuple[np.ndarray, str]:
-    kind = resolved["input_kind"]
-    if kind == "auto":
-        kind = "image" if resolved["input"].endswith(".pgm") else "matrix"
-    if kind == "image":
-        img = load_pgm(resolved["input"])
-        Y, _ = extract_patches(img, patch_size=8, stride=resolved["stride"])
-    elif kind == "matrix":
-        Y = load_matrix(resolved["input"])
-    else:
-        raise ConfigParseError(
-            f"input_kind must be auto, image, or matrix, got {kind!r}")
-    if resolved["remove_dc"]:
-        Y = Y - Y.mean(axis=0, keepdims=True)
-    return Y, kind
-
-
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     resolved = _resolve_config(args, _train_schema)
-    Y, kind = _load_training_input(resolved)
-    resolved["input_kind"] = kind  # echo the decided kind, not "auto"
+    if resolved["input"].endswith(".pgm"):  # an image, cut into 8x8 patches
+        Y, _ = extract_patches(load_pgm(resolved["input"]), patch_size=8,
+                               stride=resolved["stride"])
+    else:
+        Y = load_matrix(resolved["input"])
+    if resolved["remove_dc"]:
+        Y = Y - Y.mean(axis=0, keepdims=True)
     data = TrainingSet.from_matrix(Y)
     mcfg = _model_config(resolved, resolved["seed"])
 
@@ -280,10 +282,6 @@ def cmd_train(args) -> int:
 
 def cmd_denoise(args) -> int:
     t0 = time.perf_counter()
-    for flag in ("engine", "iters", "burn_in", "seed"):
-        if getattr(args, flag) is not None:
-            raise ConfigParseError(f"--{flag.replace('_', '-')} does not "
-                                   f"apply to denoise")
     resolved = _resolve_config(args, lambda engine: _DENOISE_SCHEMA)
     if resolved["sigma"] < 0:
         raise ConfigParseError("sigma must be >= 0")

@@ -73,11 +73,11 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
     and returns u + A_l^-1 phi' w, an exact draw. S_l is SPD, so only
     its lower triangle is formed, packed (one GEMM per block against
     _packed_outer's K), and LAPACK dppsv factors and solves it in one
-    call per column; a failure raises SingularPrecision starting
-    "column <l>: ". The normals are drawn one row per column, so the
+    call per column. The normals are drawn one row per column, so the
     stream does not depend on the block size. Columns with
     kappa_l > _KAPPA_MAX are drawn densely from their first N normals
-    instead. Returns the number of such columns.
+    instead. Returns the number of such columns. A failure of either
+    draw raises SingularPrecision starting "column <l>: ".
     """
     D, rng = state.D, state.rng
     M, N = D.shape
@@ -110,9 +110,12 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
             if G is None:
                 G = state.gamma * (D.T @ D)
             for j in dense:
-                state.X[:, l0 + j] = _dense_draw(
-                    G, state.gamma * (D.T @ data.Y[:, l0 + j]),
-                    state.alpha[:, l0 + j], z[j, :N])
+                try:
+                    state.X[:, l0 + j] = _dense_draw(
+                        G, state.gamma * (D.T @ data.Y[:, l0 + j]),
+                        state.alpha[:, l0 + j], z[j, :N])
+                except SingularPrecision as exc:
+                    raise SingularPrecision(f"column {l0 + j}: {exc}") from exc
             n_dense += dense.size
     return n_dense
 

@@ -29,7 +29,8 @@ from .errors import (
 
 @dataclass
 class ModelConfig:
-    """Prior hyperparameters and run budgets.
+    """Prior hyperparameters and run budgets. Only VB reads tol; only
+    Gibbs reads burn_in, thinning and dict_estimate_mode.
 
     a, b       : shape / rate of the Gamma prior on each coefficient
                  precision alpha_nl.
@@ -41,6 +42,7 @@ class ModelConfig:
     burn_in    : Gibbs samples discarded before collection.
     tol        : VB stop when the relative Frobenius change of <D>
                  falls below this.
+    seed       : seeds the initial dictionary and every Gibbs draw.
     thinning   : keep every k-th post-burn-in Gibbs sample.
     dict_estimate_mode : "last_sample" or "average_tail(k)".
     """

@@ -302,7 +302,6 @@ class VBTrace:
     jitter_fallback_per_iter: list = field(default_factory=list)
     iterations_run: int = 0
     converged: bool = False
-    max_iters_reached: bool = False
 
 
 def run_vb(cfg: ModelConfig, data: TrainingSet,
@@ -312,7 +311,7 @@ def run_vb(cfg: ModelConfig, data: TrainingSet,
     variant selects the dictionary update: "full" refreshes the whole
     matrix jointly, "atomwise" sweeps atoms sequentially. Stopping is
     max_iters or relative Frobenius change of <D> below cfg.tol; hitting
-    the budget is a normal outcome recorded on the trace.
+    the budget is a normal outcome, left on the trace as converged=False.
     """
     if variant not in ("full", "atomwise"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -336,6 +335,4 @@ def run_vb(cfg: ModelConfig, data: TrainingSet,
         if change < cfg.tol:
             trace.converged = True
             break
-    else:
-        trace.max_iters_reached = True
     return state, trace

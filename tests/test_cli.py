@@ -132,27 +132,46 @@ def test_bench_gibbs_default_chain_length(tmp_path):
     assert "iters = 300" in echoed
 
 
-DEFAULT_BENCH_ECHO = """\
+DEFAULT_BENCH_ECHO = {
+    "gibbs": """\
 L_grid = 4
 M = 20
 a = 0.5
 b = 1e-06
-beta = {beta}
+beta = 1.0
 burn_in = 0
 c = 0.5
 d = 1e-06
 dict_estimate_mode = last_sample
-engine = {engine}
-iters = {iters}
+engine = gibbs
+iters = 300
 k_grid = 2
 num_atoms = 50
 seed = 0
 snr_grid = 20.0
 success_threshold = 0.01
 thinning = 1
+trials = 5
+""",
+    "vb-full": """\
+L_grid = 4
+M = 20
+a = 0.5
+b = 1e-06
+beta = 100000000.0
+c = 0.5
+d = 1e-06
+engine = vb-full
+iters = 500
+k_grid = 2
+num_atoms = 50
+seed = 0
+snr_grid = 20.0
+success_threshold = 0.01
 tol = 1e-06
 trials = 5
-"""
+""",
+}
 
 
 @pytest.mark.parametrize("engine, beta, iters", [
@@ -160,14 +179,34 @@ trials = 5
     ("vb-full", "100000000.0", "500"),
 ])
 def test_bench_echoes_every_default(tmp_path, engine, beta, iters):
-    """With only the grid set, the echo is every default, formatted."""
+    """With only the grid set, the echo is every default the engine
+    reads, formatted."""
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("L_grid = 4\nsnr_grid = 20.0\nk_grid = 2\n")
     out = tmp_path / "run"
     assert run_cli("bench-synthetic", "--config", str(cfg),
                    "--engine", engine, "--out", str(out)) == 0
-    assert (out / "config_echo.cfg").read_text() == DEFAULT_BENCH_ECHO.format(
-        engine=engine, beta=beta, iters=iters)
+    echoed = (out / "config_echo.cfg").read_text()
+    assert echoed == DEFAULT_BENCH_ECHO[engine]
+    assert f"beta = {beta}\n" in echoed and f"iters = {iters}\n" in echoed
+
+
+@pytest.mark.parametrize("engine, line", [
+    *((engine, line) for engine in ("vb-full", "vb-atomwise")
+      for line in ("burn_in = 1", "thinning = 2",
+                   "dict_estimate_mode = average_tail(2)")),
+    ("gibbs", "tol = 0.001"),
+])
+def test_engine_rejects_keys_it_does_not_read(tmp_path, capsys, engine,
+                                              line):
+    cfg = tmp_path / "bench.cfg"
+    write_bench_cfg(cfg, engine)
+    cfg.write_text(cfg.read_text() + line + "\n")
+    rc = run_cli("bench-synthetic", "--config", str(cfg),
+                 "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_bench_rejects_bad_grid(tmp_path, capsys):
@@ -213,8 +252,6 @@ def test_train_gibbs_on_matrix(tmp_path):
     assert trace[0] == "iter\tresidual\tgamma"
     assert len(trace) == 11
 
-    echoed = (out / "config_echo.cfg").read_text()
-    assert "input_kind = matrix" in echoed  # decided kind, not "auto"
     assert_report_layout(out, GIBBS_TRAIN_METRICS,
                          ["dictionary.txt", "trace.tsv"])
     assert "signals\t60" in (out / "report.txt").read_text()
@@ -248,8 +285,6 @@ def test_train_on_image_patches(tmp_path):
     assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
     D = load_matrix(out / "dictionary.txt")
     assert D.shape == (64, 20)
-    echoed = (out / "config_echo.cfg").read_text()
-    assert "input_kind = image" in echoed
     # 24x24 image, stride 4: offsets 0,4,8,12,16 -> 25 patches
     assert "signals\t25" in (out / "report.txt").read_text()
 
@@ -281,6 +316,19 @@ def test_train_requires_input_key(tmp_path, capsys):
     rc = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x"))
     assert rc == 1
     assert "input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["vb-full", "vb-atomwise"])
+def test_vb_engines_reject_burn_in_flag(tmp_path, capsys, engine):
+    data_path = make_matrix_input(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {data_path}\nnum_atoms = 10\n")
+    rc = run_cli("train", "--config", str(cfg), "--engine", engine,
+                 "--burn-in", "2", "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert f"--burn-in does not apply to {engine}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

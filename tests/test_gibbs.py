@@ -185,6 +185,20 @@ def test_sample_codes_names_the_column_dppsv_rejects(monkeypatch):
         sample_codes(clone(base), data)
 
 
+def test_sample_codes_names_the_column_a_dense_draw_fails_on(monkeypatch):
+    """A dense draw whose factorization fails raises SingularPrecision
+    naming its column, as the packed path does."""
+    base, data = low_rank_problem(L=20)
+    force_dense_column(base)
+
+    def failing(P):
+        raise SingularPrecision("precision matrix not positive definite")
+
+    monkeypatch.setattr(gibbs, "spd_factor", failing)
+    with pytest.raises(SingularPrecision, match=r"^column 2: "):
+        sample_codes(clone(base), data)
+
+
 def test_sample_codes_at_image_scale_stays_compact():
     """64/256/3721, the image-train shape. The packed K is 4.1 MiB; a
     block's packed systems 1.0 MiB. Measured peak traced allocation of
@@ -488,6 +502,7 @@ def residual_ratios(chain_seeds):
     return np.array(ratios)
 
 
+@pytest.mark.slow
 def test_chain_reduces_residual_on_easy_problem(monkeypatch):
     """Every chain improves the fit, and the data-space code draw mixes no
     worse than the per-column dense draw: over eight chains its mean
