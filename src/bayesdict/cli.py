@@ -330,12 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("bench-synthetic", "train", "denoise"):
         sp = sub.add_parser(name)
+        # denoise still parses the engine flags, so that _resolve_config
+        # can reject them by name, but its --help does not offer them
+        engine_help = argparse.SUPPRESS if name == "denoise" else None
         sp.add_argument("--config", default=None, metavar="PATH")
-        sp.add_argument("--seed", type=int, default=None, metavar="U64")
-        sp.add_argument("--engine", choices=list(ENGINES), default=None)
-        sp.add_argument("--iters", type=int, default=None, metavar="N")
+        sp.add_argument("--seed", type=int, default=None, metavar="U64",
+                        help=engine_help)
+        sp.add_argument("--engine", choices=list(ENGINES), default=None,
+                        help=engine_help)
+        sp.add_argument("--iters", type=int, default=None, metavar="N",
+                        help=engine_help)
         sp.add_argument("--burn-in", dest="burn_in", type=int, default=None,
-                        metavar="N")
+                        metavar="N", help=engine_help)
         sp.add_argument("--out", default="out", metavar="DIR")
         if name == "denoise":
             sp.add_argument("--sigma", type=float, default=None, metavar="F")

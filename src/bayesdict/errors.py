@@ -43,7 +43,7 @@ class NegativeResidual(BayesdictError):
 
 
 class NonFinite(BayesdictError):
-    """A bound, log-determinant or sampler state became non-finite."""
+    """A bound, log-determinant, sampler state or OMP input is non-finite."""
 
 
 # --- shapes ---

@@ -8,20 +8,39 @@ the K-SVD Algorithm using Batch Orthogonal Matching Pursuit", Technion
 CS-2008-08):
 
 - `G = DᵀD` is formed once per call and `Dᵀy` once per column.
-- Each step takes, for every column still running, one argmax of
-  `|Dᵀr|` with the atoms already selected masked out; ties go to the
-  lowest atom index.
+- The correlations are never formed from the residual. Step 0 reads
+  `|Dᵀy|`; step k reads `|Dᵀy - G[S, :]ᵀc|` with the k kept
+  coefficients, which equals `|Dᵀr|` in exact arithmetic and costs k x N
+  work per column instead of M x N.
+- Each step takes, for every column still running, one argmax of those
+  correlations with the atoms already selected masked out; ties go to
+  the lowest atom index.
 - The refit solves the stacked k x k normal equations
   `G[S, S] c = D_Sᵀ y` in one batched solve.
 - The residual is formed explicitly, `r = y - D_S c`. The normal-equation
   form `‖y‖² - cᵀD_Sᵀy` cancels once the residual is small next to `y`,
   and the stall check and the threshold test must see the true residual.
+  The correlations may come from G because they only feed the argmax:
+  their round-off can only swap two atoms whose correlations tie to
+  round-off, and every stopping rule still reads the true residual.
 
 Stall and rank rule: a trial atom whose refit does not shrink the
 residual norm by at least STALL_REL of it is dropped, and that column
 stops. A singular `G[S, S]` (the trial atom lies in the span of the
 support, e.g. a duplicate atom) counts as such a stall; the other
 columns of the block are unaffected.
+
+Exact-fit rule: after each step a column stops once its residual norm
+is at most `max(residual_threshold, STALL_REL * ‖y‖)`, or
+`STALL_REL * ‖y‖` alone under max_sparsity. A residual that small is
+round-off, and so are the Gram-form correlations of such a column:
+unlike `Dᵀr`, which is exactly 0 when the residual is, they do not
+vanish, so without this rule a fitted column would go on to pick an
+atom from noise, and keep it whenever the refit happens to shrink the
+round-off residual.
+
+Non-finite entries in the dictionary or the signals raise NonFinite
+before any column is coded.
 
 Every per-column product is a stacked matmul, one identical BLAS call
 per column, and the batched solve factors each matrix on its own. A
@@ -32,10 +51,11 @@ case of the same kernel.
 
 Blocks hold _BLOCK = 256 columns, a trade between per-step Python
 overhead and the size of a block's work arrays. Denoising a 128² image
-(14 641 patches, 64 x 256 DCT, one BLAS thread) took 0.57 s with blocks
-of 128, 0.41 s with 256 and 0.44-0.46 s with 512 or 1024; the peak
-traced allocation was 16.4 MiB up to 512 but 20.1 MiB at 1024, as much
-as the per-signal loop this replaced (20.3 MiB).
+(14 641 patches, 64 x 256 DCT, one BLAS thread, correlations then still
+formed as `Dᵀr`) took 0.57 s with blocks of 128, 0.41 s with 256 and
+0.44-0.46 s with 512 or 1024; the peak traced allocation was 16.4 MiB
+up to 512 but 20.1 MiB at 1024, as much as the per-signal loop this
+replaced (20.3 MiB).
 """
 
 from collections.abc import Sequence
@@ -44,7 +64,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 
 STALL_REL = 1e-12
 _BLOCK = 256
@@ -165,37 +185,38 @@ def _encode_block(Dn, G, Y, thr, cap):
     """
     B = Y.shape[0]
     DtY = (Dn.T @ Y[:, :, None])[:, :, 0]
-    R = Y.copy()
     norms = _row_norms(Y)
+    fitted = STALL_REL * norms
+    if thr is not None:
+        fitted = np.maximum(fitted, thr)
     sizes = np.zeros(B, dtype=np.intp)
     sup = np.zeros((B, cap), dtype=np.intp)
     coef = np.zeros((B, cap))
-    running = norms > 0.0
-    if thr is not None:
-        running &= norms > thr
-    act = np.flatnonzero(running)
+    act = np.flatnonzero(norms > fitted)
     for k in range(cap):
         if act.size == 0:
             break
-        corr = np.abs((Dn.T @ R[act, :, None])[:, :, 0])
-        np.put_along_axis(corr, sup[act, :k], -1.0, axis=1)
+        corr = DtY[act]
+        if k:
+            corr = corr - (coef[act, None, :k] @ G[sup[act, :k]])[:, 0, :]
+        corr = np.abs(corr)
+        rows = np.arange(len(act))
+        corr[rows[:, None], sup[act, :k]] = -1.0
         atom = np.argmax(corr, axis=1)
-        moving = np.take_along_axis(corr, atom[:, None], axis=1)[:, 0] > 0.0
+        moving = corr[rows, atom] > 0.0
         act, atom = act[moving], atom[moving]
         S = np.concatenate([sup[act, :k], atom[:, None]], axis=1)
         c, solved = _solve_stacked(G[S[:, :, None], S[:, None, :]],
-                                   np.take_along_axis(DtY[act], S, axis=1))
+                                   DtY[act[:, None], S])
         trial = Y[act] - (c[:, None, :] @ Dn.T[S])[:, 0, :]
         trial_norms = _row_norms(trial)
         gained = solved & (norms[act] - trial_norms >= STALL_REL * norms[act])
         act = act[gained]
-        R[act] = trial[gained]
         norms[act] = trial_norms[gained]
         sup[act, k] = atom[gained]
         coef[act, :k + 1] = c[gained]
         sizes[act] = k + 1
-        if thr is not None:
-            act = act[norms[act] > thr]
+        act = act[norms[act] > fitted[act]]
     return sizes, sup, coef, norms
 
 
@@ -206,6 +227,10 @@ def batch_encode(D: np.ndarray, signals: np.ndarray,
     if D.ndim != 2 or signals.ndim != 2 or D.shape[0] != signals.shape[0]:
         raise DimensionMismatch(
             f"dictionary {D.shape} incompatible with signals {signals.shape}")
+    for name, values in (("dictionary", D), ("signals", signals)):
+        bad = np.size(values) - np.count_nonzero(np.isfinite(values))
+        if bad:
+            raise NonFinite(f"non-finite entries in the OMP {name}: {bad}")
     Dn, renorm = normalize_dictionary(np.asarray(D, dtype=np.float64))
     M, N = Dn.shape
     cap = stop.max_sparsity if stop.max_sparsity is not None else min(M, N)

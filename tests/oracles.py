@@ -236,6 +236,71 @@ def omp_lstsq(D, y, max_sparsity=None, residual_threshold=None):
     return support, coeffs, res_norm
 
 
+def omp_residual_form(D, Y, max_sparsity=None, residual_threshold=None):
+    """Batched greedy OMP that reads every correlation from the residual,
+    `|Dᵀr|` with `r = y - D_S c`, as `omp._encode_block` did before its
+    correlations came from `DᵀY` and the Gram matrix.
+
+    D must already have unit-norm columns; Y holds one signal per column.
+    Selection, the tie rule, the stacked refit with its per-column
+    singular fallback, the stall check and the threshold test are the
+    package's, and there is no exact-fit stop: an exact fit stops because
+    `Dᵀr` is exactly zero or because the next pick stalls. Returns support
+    sizes, supports and coefficients (P x cap, padded past each size) and
+    residual norms.
+    """
+    M, N = D.shape
+    cap = min(max_sparsity if max_sparsity is not None else min(M, N), N)
+    thr = residual_threshold
+    G = D.T @ D
+    Y = np.ascontiguousarray(np.asarray(Y, dtype=np.float64).T)
+    P = Y.shape[0]
+    DtY = (D.T @ Y[:, :, None])[:, :, 0]
+    R = Y.copy()
+    norms = np.sqrt((Y[:, None, :] @ Y[:, :, None])[:, 0, 0])
+    sizes = np.zeros(P, dtype=np.intp)
+    sup = np.zeros((P, cap), dtype=np.intp)
+    coef = np.zeros((P, cap))
+    running = norms > 0.0
+    if thr is not None:
+        running &= norms > thr
+    act = np.flatnonzero(running)
+    for k in range(cap):
+        if act.size == 0:
+            break
+        corr = np.abs((D.T @ R[act, :, None])[:, :, 0])
+        np.put_along_axis(corr, sup[act, :k], -1.0, axis=1)
+        atom = np.argmax(corr, axis=1)
+        moving = np.take_along_axis(corr, atom[:, None], axis=1)[:, 0] > 0.0
+        act, atom = act[moving], atom[moving]
+        S = np.concatenate([sup[act, :k], atom[:, None]], axis=1)
+        A = G[S[:, :, None], S[:, None, :]]
+        b = np.take_along_axis(DtY[act], S, axis=1)
+        solved = np.ones(len(A), bool)
+        try:
+            c = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            c = np.zeros_like(b)
+            for i in range(len(A)):
+                try:
+                    c[i] = np.linalg.solve(A[i:i + 1],
+                                           b[i:i + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+        trial = Y[act] - (c[:, None, :] @ D.T[S])[:, 0, :]
+        trial_norms = np.sqrt((trial[:, None, :] @ trial[:, :, None])[:, 0, 0])
+        gained = solved & (norms[act] - trial_norms >= 1e-12 * norms[act])
+        act = act[gained]
+        R[act] = trial[gained]
+        norms[act] = trial_norms[gained]
+        sup[act, k] = atom[gained]
+        coef[act, :k + 1] = c[gained]
+        sizes[act] = k + 1
+        if thr is not None:
+            act = act[norms[act] > thr]
+    return sizes, sup, coef, norms
+
+
 def mean_se(samples):
     """Per-coordinate standard error of the sample mean (axis 0)."""
     n = samples.shape[0]

@@ -6,6 +6,7 @@ import pytest
 from bayesdict.cli import main
 from bayesdict.fileio import load_matrix, load_pgm, save_matrix, save_pgm
 from bayesdict.synthetic import SyntheticSpec, generate_synthetic
+import bench_inputs
 
 
 def run_cli(*argv):
@@ -464,6 +465,35 @@ def test_denoise_rejects_non_square_atom_length(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "has 48" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_denoise_rejects_non_finite_dictionary(tmp_path, capsys):
+    """One nan atom entry is an error, not a black image with exit 0."""
+    D = bench_inputs.overcomplete_dct()
+    D[5, 7] = np.nan
+    dict_path = tmp_path / "d.txt"
+    save_matrix(D, dict_path)
+    noisy = tmp_path / "n.pgm"
+    make_image(noisy, q=16)
+    cfg = tmp_path / "den.cfg"
+    cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy}\n"
+                   "sigma = 10\n")
+    rc = run_cli("denoise", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dictionary" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_denoise_help_lists_only_denoise_flags(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("denoise", "--help")
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ("--config", "--out", "--sigma", "--gain", "--clean"):
+        assert flag in text
+    for flag in ("--seed", "--engine", "--iters", "--burn-in"):
+        assert flag not in text
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from bayesdict import OmpStop, batch_encode, normalize_dictionary, omp_encode
 from bayesdict import omp
-from bayesdict.errors import DimensionMismatch
+from bayesdict.errors import DimensionMismatch, NonFinite
+from bayesdict.patches import extract_patches
+import bench_inputs
 import oracles
 
 
@@ -276,6 +278,24 @@ def test_dimension_errors():
         batch_encode(np.eye(3), np.zeros((4, 2)), OmpStop(max_sparsity=1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_dictionary_raises_before_coding(bad):
+    D = np.eye(4)
+    D[2, 3] = bad
+    with pytest.raises(NonFinite, match="dictionary"):
+        batch_encode(D, np.ones((4, 3)), OmpStop(max_sparsity=2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_signal_raises_before_coding(bad):
+    Y = np.ones((4, 3))
+    Y[1, 2] = bad
+    with pytest.raises(NonFinite, match="signals"):
+        batch_encode(np.eye(4), Y, OmpStop(residual_threshold=0.5))
+    with pytest.raises(NonFinite, match="signals"):
+        omp_encode(np.eye(4), Y[:, 2], OmpStop(max_sparsity=1))
+
+
 def assert_codes_equal(got, want):
     assert got.support == want.support
     np.testing.assert_array_equal(got.coeffs, want.coeffs)
@@ -332,6 +352,81 @@ def test_block_boundaries_do_not_change_any_code(problem):
     assert len(codes) == Y.shape[1]
     for p, code in enumerate(codes):
         assert_codes_equal(code, omp_encode(D, Y[:, p], stop))
+
+
+@st.composite
+def exact_fit_problems(draw):
+    """blocked_problems with some columns of Y replaced by D @ x, where x
+    has at most three nonzeros, so that they can be fitted exactly."""
+    D, Y, stop, block = draw(blocked_problems())
+    N = D.shape[1]
+    entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+    for p in range(Y.shape[1]):
+        if draw(st.booleans()):
+            atoms = draw(st.lists(st.integers(0, N - 1), max_size=3,
+                                  unique=True))
+            x = np.zeros(N)
+            x[atoms] = draw(hnp.arrays(np.float64, len(atoms),
+                                       elements=entries))
+            Y[:, p] = D @ x
+    return D, Y, stop, block
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(exact_fit_problems())
+def test_exact_fits_do_not_depend_on_block_boundaries(problem):
+    D, Y, stop, block = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(omp, "_BLOCK", block)
+        codes = batch_encode(D, Y, stop)
+    assert len(codes) == Y.shape[1]
+    for p, code in enumerate(codes):
+        assert_codes_equal(code, omp_encode(D, Y[:, p], stop))
+
+
+@pytest.mark.parametrize("stop", [OmpStop(max_sparsity=5),
+                                  OmpStop(residual_threshold=0.0)])
+def test_exact_fit_stops_inside_a_block_of_noisy_columns(stop):
+    """The exactly fitted column stops after its two atoms while the noisy
+    columns of its block keep going, and every column codes as alone."""
+    rng = np.random.default_rng(15)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    Y = rng.standard_normal((6, 4))
+    Y[:, 2] = Q[:, [1, 4]] @ np.array([1.5, -0.5])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(omp, "_BLOCK", 4)
+        codes = batch_encode(Q, Y, stop)
+    assert sorted(codes[2].support) == [1, 4]
+    assert codes[2].residual_norm <= 1e-12 * np.linalg.norm(Y[:, 2])
+    for p in (0, 1, 3):  # noisy columns need every atom the rule allows
+        assert len(codes[p].support) == (stop.max_sparsity or 6)
+    for p, code in enumerate(codes):
+        assert_codes_equal(code, omp_encode(Q, Y[:, p], stop))
+
+
+@pytest.mark.parametrize("stop", [OmpStop(max_sparsity=6),
+                                  OmpStop(residual_threshold=1.15 * 25 * 8)])
+def test_batch_equals_residual_form_oracle_on_image_patches(stop):
+    """Correlations from DᵀY and the Gram matrix pick the same atoms as
+    correlations from the residual: on the stride-1 patches of a noisy
+    48 x 48 benchmark image (sigma 25) against the 64 x 256 overcomplete
+    DCT, supports, coefficients and residual norms are bit-equal. Only
+    atoms whose correlations tie to round-off may be picked in the other
+    order: none do here, and under max_sparsity = 6 two columns of the
+    175 692 in twelve 128 x 128 draws (seeds 500, 501, 777) do."""
+    clean = bench_inputs.clean_image(48, seed=0)
+    noisy = bench_inputs.noisy_image(clean, 25.0, seed=0)
+    patches, _ = extract_patches(noisy, patch_size=8, stride=1)
+    D = bench_inputs.overcomplete_dct()
+    codes = batch_encode(D, patches, stop)
+    sizes, sup, coef, norms = oracles.omp_residual_form(
+        D, patches, stop.max_sparsity, stop.residual_threshold)
+    kept = np.arange(sup.shape[1]) < sizes[:, None]
+    np.testing.assert_array_equal(np.diff(codes.indptr), sizes)
+    np.testing.assert_array_equal(codes.indices, sup[kept])
+    np.testing.assert_array_equal(codes.coeffs, coef[kept])
+    np.testing.assert_array_equal(codes.residual_norms, norms)
+    assert sizes.min() >= 1
 
 
 @pytest.mark.parametrize("stop", [OmpStop(max_sparsity=6),
