@@ -86,14 +86,19 @@ def _bench_schema(engine: str) -> dict:
     return schema
 
 
-def _train_schema(engine: str) -> dict:
+def _train_schema(engine: str, given: dict) -> dict:
+    """stride is read only for a .pgm input, the one input cut into
+    patches; on a matrix input, setting it is an error."""
     schema = _engine_schema(engine)
     schema.update({
         "input": ("str", REQUIRED),
-        "stride": ("int", "2"),
         "num_atoms": ("int", "256"),
         "remove_dc": ("bool", "false"),
     })
+    if given.get("input", "").endswith(".pgm"):
+        schema["stride"] = ("int", "2")
+    elif "stride" in given:
+        raise ConfigParseError("stride does not apply to matrix input")
     return schema
 
 
@@ -121,19 +126,21 @@ def _resolve_config(args, schema_for) -> dict:
 
     schema_for takes the engine the run will use (flag, else file, else
     the default), so an engine command's keys and defaults follow that
-    engine. A flag set for a key outside the schema is rejected.
+    engine, and the file's values overlaid with the flags set, so train's
+    keys can follow its input. A flag set for a key outside the schema is
+    rejected.
     """
     file_values = parse_config_file(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None and key not in ("command", "config", "out")}
     engine = args.engine or file_values.get("engine", ENGINES[0])
-    schema = schema_for(engine)
-    for key, value in vars(args).items():
-        if value is not None and key not in (*schema, "command", "config",
-                                             "out"):
+    schema = schema_for(engine, {**file_values, **flags})
+    for key in flags:
+        if key not in schema:
             raise ConfigParseError(
                 f"--{key.replace('_', '-')} does not apply to "
                 f"{engine if 'engine' in schema else args.command}")
-    return resolve(schema, file_values, vars(args),
-                   args.config or "<defaults>")
+    return resolve(schema, file_values, flags, args.config or "<defaults>")
 
 
 def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
@@ -194,7 +201,8 @@ def _finish(out_dir: Path, resolved: dict, metrics: dict, artifacts: list,
 
 def cmd_bench_synthetic(args) -> int:
     t0 = time.perf_counter()
-    resolved = _resolve_config(args, _bench_schema)
+    resolved = _resolve_config(args,
+                               lambda engine, given: _bench_schema(engine))
     engine = resolved["engine"]
     if resolved["trials"] < 1:
         raise ConfigParseError("trials must be >= 1")
@@ -282,7 +290,7 @@ def cmd_train(args) -> int:
 
 def cmd_denoise(args) -> int:
     t0 = time.perf_counter()
-    resolved = _resolve_config(args, lambda engine: _DENOISE_SCHEMA)
+    resolved = _resolve_config(args, lambda engine, given: _DENOISE_SCHEMA)
     if resolved["sigma"] < 0:
         raise ConfigParseError("sigma must be >= 0")
     if resolved["gain"] <= 0:
@@ -343,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--burn-in", dest="burn_in", type=int, default=None,
                         metavar="N", help=engine_help)
         sp.add_argument("--out", default="out", metavar="DIR")
+        if name == "train":
+            sp.add_argument("--stride", type=int, default=None, metavar="N",
+                            help="patch grid step of a .pgm input")
         if name == "denoise":
             sp.add_argument("--sigma", type=float, default=None, metavar="F")
             sp.add_argument("--gain", type=float, default=None, metavar="F")

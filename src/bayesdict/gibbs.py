@@ -9,10 +9,12 @@ seeded generator drives every draw in a fixed order.
 The code step is exact but works in the M-dimensional data space rather
 than in coefficient space: D'D has rank at most M, so each column's
 conditional is drawn with one M x M SPD solve (Bhattacharya, Chakraborty
-& Mallick, Biometrika 2016). Only the lower triangle of each system is
-formed, packed, by one GEMM per block of columns; LAPACK dppsv then
-factors and solves each column's packed system in one call, and a
-failure raises SingularPrecision naming the column. That solve loses
+& Mallick, Biometrika 2016). Each system is formed by one GEMM per block
+of columns directly in LAPACK's Rectangular Full Packed (RFP) storage:
+the M(M+1)/2 entries of a triangle, laid out so that the blocked level-3
+dpftrf factors it in place and dpftrs solves against it (Gustavson,
+Wasniewski, Dongarra & Langou, ACM TOMS 2010). A failed factorization
+raises SingularPrecision naming the column. That solve loses
 about eps * kappa_l of relative accuracy, with
 kappa_l = 1 + g sum_n ||d_n||^2 / alpha_nl bounding its condition
 number, so columns with kappa_l above _KAPPA_MAX are drawn by a dense
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dppsv
+from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .errors import (
     EmptyTrace,
@@ -45,7 +47,7 @@ from .model import (
 
 _TINY = np.finfo(np.float64).tiny
 # Columns per block in sample_codes. It bounds the per-block
-# temporaries (normals, the packed M x M systems) whatever L is; the
+# temporaries (normals, the RFP M x M systems) whatever L is; the
 # draws do not depend on it.
 _BLOCK = 64
 # kappa_l above this sends a column to the dense draw: the data-space
@@ -71,13 +73,13 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
     u = z[:N] / sqrt(alpha_l) ~ N(0, A_l^-1) and delta = z[N:], solves
     S_l w = sqrt(g) y_l - phi u - delta with S_l = I_M + phi A_l^-1 phi'
     and returns u + A_l^-1 phi' w, an exact draw. S_l is SPD, so only
-    its lower triangle is formed, packed (one GEMM per block against
-    _packed_outer's K), and LAPACK dppsv factors and solves it in one
-    call per column. The normals are drawn one row per column, so the
-    stream does not depend on the block size. Columns with
-    kappa_l > _KAPPA_MAX are drawn densely from their first N normals
-    instead. Returns the number of such columns. A failure of either
-    draw raises SingularPrecision starting "column <l>: ".
+    one triangle is formed, in RFP storage (one GEMM per block against
+    _packed_outer's K); LAPACK dpftrf factors it in place and dpftrs
+    solves into w, two calls per column. The normals are drawn one row
+    per column, so the stream does not depend on the block size.
+    Columns with kappa_l > _KAPPA_MAX are drawn densely from their first
+    N normals instead. Returns the number of such columns. A failure of
+    either draw raises SingularPrecision starting "column <l>: ".
     """
     D, rng = state.D, state.rng
     M, N = D.shape
@@ -99,12 +101,14 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
         S = inv_alpha @ K
         S[:, diag] += 1.0
         w = root_g * data.Y[:, cols].T - u @ phi.T - z[:, N:]
-        for j in range(w.shape[0]):
-            w[j], info = dppsv(M, S[j], w[j], overwrite_b=1)
+        # s and b are views of rows of S and w: both calls work in place
+        for j, (s, b) in enumerate(zip(S, w[:, :, None])):
+            _, info = dpftrf(M, s, "T", "U", 1)
             if info:
                 raise SingularPrecision(
                     f"column {l0 + j}: data-space system is not positive "
-                    f"definite (dppsv info {info})")
+                    f"definite (dpftrf info {info})")
+            dpftrs(M, s, b, "T", "U", 1)
         state.X[:, cols] = (u + inv_alpha * (w @ phi)).T
         if dense.size:
             if G is None:
@@ -121,23 +125,33 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
 
 
 def _packed_outer(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K (N x M(M+1)/2) with K[n] = phi_n phi_n' packed, and its diagonal.
+    """K (N x M(M+1)/2) with K[n] = phi_n phi_n' in RFP storage, and the
+    positions of its diagonal.
 
-    Entries run in np.tril_indices(M) order, which is LAPACK's
-    column-major 'U' packed layout of a symmetric matrix, so
-    (1/alpha_l)' K is phi A_l^-1 phi' packed for dppsv. Triangle row i
-    is one slice, filled in place. Also returns the positions of the
-    diagonal entries.
+    The layout is LAPACK's RFP for transr='T', uplo='U' (what dtpttf
+    gives), so (1/alpha_l)' K is phi A_l^-1 phi' ready for dpftrf. With
+    h = M // 2 it is 2h + 1 rows of M - h entries. Row r < h holds
+    entries (r, h..M-1). Row r = h + t holds column t - 1 of the top-left
+    h x h triangle, (0..t-1, t-1), if t > 0, then (r, r..M-1) if r < M.
+    Each of these runs is a slice of phi' times one of its columns,
+    written in place: about 1.5 M products in all.
     """
     M, N = phi.shape
+    h = M // 2
+    width = M - h
     K = np.empty((N, M * (M + 1) // 2))
     phi_t = phi.T
-    for i in range(M):
-        start = i * (i + 1) // 2
-        np.multiply(phi_t[:, :i + 1], phi_t[:, i:i + 1],
-                    out=K[:, start:start + i + 1])
-    rows = np.arange(M)
-    return K, rows * (rows + 3) // 2
+    for r in range(2 * h + 1):
+        start, t = r * width, r - h
+        if t > 0:
+            np.multiply(phi_t[:, :t], phi_t[:, t - 1:t],
+                        out=K[:, start:start + t])
+            start += t
+        if r < M:
+            np.multiply(phi_t[:, max(r, h):], phi_t[:, r:r + 1],
+                        out=K[:, start:start + width - max(t, 0)])
+    i = np.arange(M)
+    return K, np.where(i < h, (h + i + 1) * width + i, i * width + i - h)
 
 
 def _dense_draw(G: np.ndarray, c: np.ndarray, alpha_col: np.ndarray,
@@ -171,7 +185,10 @@ def sample_alpha(state: GibbsState, cfg: ModelConfig) -> None:
     scale *= 0.5
     scale += cfg.b
     np.reciprocal(scale, out=scale)
-    draws = state.rng.gamma(cfg.a + 0.5, scale)
+    # numpy draws gamma(k, theta) as theta * standard_gamma(k), so this is
+    # rng.gamma(a + 1/2, scale) bit for bit, without its broadcast over scale
+    draws = state.rng.standard_gamma(cfg.a + 0.5, scale.shape)
+    draws *= scale
     state.alpha = np.maximum(draws, _TINY, out=draws)
 
 

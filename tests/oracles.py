@@ -10,6 +10,7 @@ tautology.
 import numpy as np
 import scipy.linalg
 from scipy import stats
+from scipy.linalg.lapack import dppsv
 from scipy.special import gammaln
 
 
@@ -155,15 +156,60 @@ def sample_codes_lu(state, data, block=64, kappa_max=1e6):
         w = np.linalg.solve(S.reshape(-1, M, M), rhs[:, :, np.newaxis])
         state.X[:, cols] = (u + inv_alpha * (w[:, :, 0] @ phi)).T
         for j in dense:
-            l = l0 + j
-            P = state.gamma * (D.T @ D) + np.diag(state.alpha[:, l])
-            chol = scipy.linalg.cholesky(P, lower=True)
-            mean = scipy.linalg.cho_solve(
-                (chol, True), state.gamma * (D.T @ data.Y[:, l]))
-            state.X[:, l] = mean + scipy.linalg.solve_triangular(
-                chol, z[j, :N], lower=True, trans=1)
+            _dense_column(state, data, l0 + j, z[j, :N])
         n_dense += dense.size
     return n_dense
+
+
+def sample_codes_packed(state, data, block=64, kappa_max=1e6):
+    """Data-space draw of every code column, one LAPACK dppsv per column.
+
+    Each column's system I + phi A_l^-1 phi' (phi = sqrt(g) D) is formed
+    in LAPACK's column-major 'U' packed layout (np.tril_indices order) by
+    one GEMM per block against the N x M(M+1)/2 matrix whose row n is
+    phi_n phi_n' packed, and dppsv factors and solves it by the unblocked
+    packed Cholesky. The normals stream and the kappa guard are those of
+    sample_codes_lu. Returns the number of columns drawn densely.
+    """
+    D, rng = state.D, state.rng
+    M, N = D.shape
+    root_g = np.sqrt(state.gamma)
+    phi = root_g * D
+    r, c = np.tril_indices(M)
+    K = (phi[r] * phi[c]).T
+    diag = np.flatnonzero(r == c)
+    norms2 = np.einsum("in,in->n", phi, phi)
+    n_dense = 0
+    for l0 in range(0, data.L, block):
+        cols = slice(l0, min(l0 + block, data.L))
+        z = rng.standard_normal((cols.stop - l0, N + M))
+        inv_alpha = 1.0 / state.alpha[:, cols].T
+        u = z[:, :N] * np.sqrt(inv_alpha)
+        with np.errstate(over="ignore"):
+            dense = np.flatnonzero(1.0 + inv_alpha @ norms2 > kappa_max)
+        inv_alpha[dense] = 0.0
+        S = inv_alpha @ K
+        S[:, diag] += 1.0
+        w = root_g * data.Y[:, cols].T - u @ phi.T - z[:, N:]
+        for j in range(w.shape[0]):
+            w[j], info = dppsv(M, S[j], w[j])
+            assert info == 0
+        state.X[:, cols] = (u + inv_alpha * (w @ phi)).T
+        for j in dense:
+            _dense_column(state, data, l0 + j, z[j, :N])
+        n_dense += dense.size
+    return n_dense
+
+
+def _dense_column(state, data, l, z):
+    """Column l drawn in coefficient space from the normals z, by a lower
+    Cholesky factor of its N x N precision."""
+    D, gamma = state.D, state.gamma
+    P = gamma * (D.T @ D) + np.diag(state.alpha[:, l])
+    chol = scipy.linalg.cholesky(P, lower=True)
+    mean = scipy.linalg.cho_solve((chol, True), gamma * (D.T @ data.Y[:, l]))
+    state.X[:, l] = mean + scipy.linalg.solve_triangular(
+        chol, z, lower=True, trans=1)
 
 
 def atom_conditional_moments(D, X, Y, gamma, beta, n):

@@ -290,6 +290,40 @@ def test_train_on_image_patches(tmp_path):
     assert "signals\t25" in (out / "report.txt").read_text()
 
 
+def test_train_stride_flag_sets_the_patch_grid(tmp_path):
+    img_path = tmp_path / "img.pgm"
+    make_image(img_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {img_path}\nnum_atoms = 20\niters = 2\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--stride", "4",
+                   "--out", str(out)) == 0
+    assert "signals\t25" in (out / "report.txt").read_text()
+    assert "stride = 4\n" in (out / "config_echo.cfg").read_text()
+
+
+@pytest.mark.parametrize("flags, line", [((), "stride = 2\n"),
+                                         (("--stride", "2"), "")])
+def test_train_on_matrix_input_rejects_stride(tmp_path, capsys, flags, line):
+    data_path = make_matrix_input(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {data_path}\nnum_atoms = 10\n{line}")
+    rc = run_cli("train", "--config", str(cfg), *flags,
+                 "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert "stride does not apply to matrix input" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_on_matrix_input_echoes_no_stride(tmp_path):
+    data_path = make_matrix_input(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {data_path}\nnum_atoms = 10\niters = 2\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
+    assert "stride" not in (out / "config_echo.cfg").read_text()
+
+
 def test_train_missing_input_fails_cleanly(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("input = /nonexistent/file.txt\n")

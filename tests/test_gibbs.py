@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtfttr
 
 from bayesdict import (
     ModelConfig,
@@ -145,15 +146,16 @@ def test_sample_codes_ill_conditioned_column_takes_dense_draw():
                                rtol=1e-12, atol=1e-12)
 
 
-def assert_same_draws(base, data, want_dense):
-    """sample_codes and the batched-LU oracle, from one generator seed,
-    agree to 1e-12 of the largest entry and count the same dense columns."""
+def assert_same_draws(base, data, want_dense, oracle=oracles.sample_codes_lu,
+                      rtol=1e-12):
+    """sample_codes and an oracle, from one generator seed, agree to rtol
+    of the largest entry and count the same dense columns."""
     st, ref = clone(base), clone(base)
     st.rng, ref.rng = np.random.default_rng(31), np.random.default_rng(31)
     assert sample_codes(st, data) == want_dense
-    assert oracles.sample_codes_lu(ref, data) == want_dense
+    assert oracle(ref, data) == want_dense
     gap = np.max(np.abs(st.X - ref.X))
-    assert gap <= 1e-12 * np.max(np.abs(ref.X))
+    assert gap <= rtol * np.max(np.abs(ref.X))
 
 
 def test_sample_codes_matches_batched_lu_oracle_low_rank():
@@ -168,21 +170,68 @@ def test_sample_codes_matches_batched_lu_oracle_with_dense_column():
     assert_same_draws(base, data, want_dense=1)
 
 
-def test_sample_codes_names_the_column_dppsv_rejects(monkeypatch):
-    """A packed factorization failing in the 66th call (column 65, the
+@pytest.mark.parametrize("shape, dense", [((20, 50, 200), True),
+                                          ((64, 256, 300), False)])
+def test_sample_codes_matches_packed_dppsv_oracle(shape, dense):
+    """The RFP kernel against the packed dppsv oracle, on the bench cell
+    with a forced dense column and at the image-train shape."""
+    M, N, L = shape
+    base, data = fixed_problem(seed=22, M=M, N=N, L=L)
+    if dense:
+        force_dense_column(base)
+    assert_same_draws(base, data, want_dense=int(dense),
+                      oracle=oracles.sample_codes_packed)
+
+
+def test_sample_codes_matches_packed_dppsv_oracle_near_kappa_max():
+    """Column 3's kappa is ~5e5, just under _KAPPA_MAX, so either solve
+    may be off the exact draw by ~eps * kappa ~ 1e-10 relative; the two
+    agree far closer here (~3e-16), but only that bound is guaranteed."""
+    base, data = fixed_problem(seed=27, M=20, N=50, L=70)
+    phi2 = base.gamma * np.sum(base.D * base.D, axis=0)
+    kappa = 1.0 + phi2 @ (1.0 / base.alpha[:, 3])
+    base.alpha[:, 3] *= (kappa - 1.0) / (5e5 - 1.0)
+    assert 4.9e5 < 1.0 + phi2 @ (1.0 / base.alpha[:, 3]) < gibbs._KAPPA_MAX
+    assert_same_draws(base, data, want_dense=0,
+                      oracle=oracles.sample_codes_packed, rtol=1e-9)
+
+
+def test_sample_codes_names_the_column_dpftrf_rejects(monkeypatch):
+    """An RFP factorization failing in the 66th call (column 65, the
     second block's second column) raises SingularPrecision naming it."""
     base, data = fixed_problem(seed=23, M=4, N=6, L=70)
-    real_dppsv = gibbs.dppsv
+    real_dpftrf = gibbs.dpftrf
     calls = []
 
-    def failing(n, ap, b, **kwargs):
-        x, info = real_dppsv(n, ap, b, **kwargs)
+    def failing(*args):
+        a, info = real_dpftrf(*args)
         calls.append(1)
-        return x, 3 if len(calls) == 66 else info
+        return a, 3 if len(calls) == 66 else info
 
-    monkeypatch.setattr(gibbs, "dppsv", failing)
+    monkeypatch.setattr(gibbs, "dpftrf", failing)
     with pytest.raises(SingularPrecision, match=r"^column 65: "):
         sample_codes(clone(base), data)
+    assert len(calls) == 66
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 20, 64])
+def test_packed_outer_lays_out_rfp(M):
+    """(1/alpha)' K unpacked by LAPACK dtfttr is the upper triangle of
+    phi diag(1/alpha) phi', and the returned positions are exactly its
+    diagonal. Odd and even M take different RFP layouts."""
+    rng = np.random.default_rng(28 + M)
+    phi = rng.standard_normal((M, 9))
+    inv_alpha = rng.random(9)
+    K, diag = gibbs._packed_outer(phi)
+    assert K.shape == (9, M * (M + 1) // 2)
+    full, info = dtfttr(M, inv_alpha @ K, "T", "U")
+    assert info == 0
+    want = (phi * inv_alpha) @ phi.T
+    np.testing.assert_allclose(np.triu(full), np.triu(want),
+                               rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+    marks = np.zeros(K.shape[1])
+    marks[diag] = 1.0
+    assert np.array_equal(dtfttr(M, marks, "T", "U")[0], np.eye(M))
 
 
 def test_sample_codes_names_the_column_a_dense_draw_fails_on(monkeypatch):
@@ -200,10 +249,11 @@ def test_sample_codes_names_the_column_a_dense_draw_fails_on(monkeypatch):
 
 
 def test_sample_codes_at_image_scale_stays_compact():
-    """64/256/3721, the image-train shape. The packed K is 4.1 MiB; a
-    block's packed systems 1.0 MiB. Measured peak traced allocation of
-    one call: 6.7 MiB, against 12.6 MiB when every system was formed in
-    full from an N x M^2 K. The bound leaves ~20% of margin."""
+    """64/256/3721, the image-train shape. The RFP K is 4.1 MiB; a
+    block's RFP systems 1.0 MiB. Measured peak traced allocation of one
+    call: 6.8 MiB (6.7 MiB with dppsv on the same packed size), against
+    12.6 MiB when every system was formed in full from an N x M^2 K. The
+    bound leaves ~15% of margin."""
     state, data = fixed_problem(seed=24, M=64, N=256, L=3721)
     tracemalloc.start()
     try:
@@ -347,21 +397,23 @@ def test_sample_alpha_zero_coefficients_at_default_priors():
 
 
 def test_sample_alpha_matches_out_of_place_expression():
-    """Bit for bit the draws of the plain expression, clamp included:
-    x = 1e154 makes the Gamma scale ~2e-308, so about half the draws of
-    that row fall below _TINY."""
+    """Bit for bit the draws of the plain expression, clamp included, at
+    the default shape a + 1/2 = 1 and at a = 0.2 and 2, where the Gamma
+    shape is not 1: x = 1e154 makes the Gamma scale ~2e-308, so about
+    half the draws of that row fall below _TINY at the default prior."""
     X = np.random.default_rng(25).standard_normal((40, 300))
     X[0] = 0.0
     X[1] = 1e154
-    cfg = ModelConfig(num_atoms=40)
-    st = GibbsState(X=X, D=np.zeros((3, 40)), alpha=np.ones_like(X),
-                    gamma=1.0, rng=np.random.default_rng(26))
-    sample_alpha(st, cfg)
-    rng = np.random.default_rng(26)
-    want = np.maximum(rng.gamma(cfg.a + 0.5, 1.0 / (cfg.b + 0.5 * X ** 2)),
-                      gibbs._TINY)
-    np.testing.assert_array_equal(st.alpha, want)
-    assert np.any(want[1] == gibbs._TINY)
+    for a in (0.5, 0.2, 2.0):
+        cfg = ModelConfig(num_atoms=40, a=a)
+        st = GibbsState(X=X, D=np.zeros((3, 40)), alpha=np.ones_like(X),
+                        gamma=1.0, rng=np.random.default_rng(26))
+        sample_alpha(st, cfg)
+        rng = np.random.default_rng(26)
+        want = np.maximum(
+            rng.gamma(cfg.a + 0.5, 1.0 / (cfg.b + 0.5 * X ** 2)), gibbs._TINY)
+        np.testing.assert_array_equal(st.alpha, want)
+        assert np.any(want[1] == gibbs._TINY)
 
 
 def test_sample_gamma_moments():
