@@ -167,6 +167,7 @@ def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
         "final_residual": reconstruction_error(data.Y, state.dict_mean,
                                                state.code_means),
         "jitter_fallback_columns": sum(trace.jitter_fallback_per_iter),
+        "jitter_fallback_dictionary": sum(trace.dict_jitter_fallback_per_iter),
     }
     return state.dict_mean, columns, metrics
 

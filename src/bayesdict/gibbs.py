@@ -34,7 +34,7 @@ from .errors import (
     SingularPrecision,
     TailLargerThanTrace,
 )
-from .linalg import spd_factor
+from .linalg import _rfp_diagonal, spd_factor
 from .model import (
     GibbsState,
     ModelConfig,
@@ -150,8 +150,7 @@ def _packed_outer(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if r < M:
             np.multiply(phi_t[:, max(r, h):], phi_t[:, r:r + 1],
                         out=K[:, start:start + width - max(t, 0)])
-    i = np.arange(M)
-    return K, np.where(i < h, (h + i + 1) * width + i, i * width + i - h)
+    return K, _rfp_diagonal(M)
 
 
 def _dense_draw(G: np.ndarray, c: np.ndarray, alpha_col: np.ndarray,

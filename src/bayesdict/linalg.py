@@ -4,8 +4,8 @@ Every precision inverse in the toolkit goes through a Cholesky
 factorization, never an unstructured matrix inverse. On a factorization
 failure a single jitter of 1e-10 * trace/n is added to the diagonal; a
 second failure raises SingularPrecision, which callers treat as a
-numerical blow-up. The VB engine factors its precisions with LAPACK
-directly and comes here only for one that fails.
+numerical blow-up. The engines factor their batched systems in RFP
+storage with LAPACK directly; VB comes here only for one that fails.
 """
 
 import numpy as np
@@ -42,3 +42,11 @@ def spd_logdet(S: np.ndarray) -> float:
     """log det of an SPD matrix (e.g. a stored covariance)."""
     _, logdet = spd_factor(S)
     return logdet
+
+
+def _rfp_diagonal(n: int) -> np.ndarray:
+    """Positions of the diagonal of an n x n matrix in LAPACK's RFP
+    storage for transr='T', uplo='U': 2h + 1 rows of n - h, h = n // 2."""
+    h = n // 2
+    i = np.arange(n)
+    return np.where(i < h, (h + i + 1) * (n - h) + i, i * (n - h) + i - h)

@@ -18,12 +18,12 @@ uses the exact second-moment expansion, not a plug-in of the means.
 The other updates read q(X) only through diag(Sigma_l) (for <x_nl^2>),
 sum_l Sigma_l (for <XX'>) and sum_l log det Sigma_l (for the entropy),
 so the state keeps those three reductions instead of the L x N x N
-stack of Sigma_l. update_codes reduces them, a block of columns at a
-time, from the inverse Cholesky factor R_l = L_l^-1 of each column's
-precision P_l = L_l L_l' (LAPACK potrf, then trtri), since
-Sigma_l = R_l' R_l; update_dictionary_full takes A the same way. A
-precision that potrf rejects goes through linalg.spd_factor's jitter
-policy instead.
+stack of Sigma_l. Each precision P = U'U is held in LAPACK's
+Rectangular Full Packed (RFP) storage, as in the Gibbs code step, and
+turned into its covariance in place by dpftrf and dpftri; update_codes
+solves for mu_l with dpftrs and reads log det Sigma_l off U between the
+two. A precision that dpftrf rejects goes through linalg.spd_factor's
+jitter policy instead.
 
 Two dictionary updates are provided: the whole-matrix form above and a
 sequential one-atom-at-a-time form whose per-atom covariance is a
@@ -35,11 +35,11 @@ dict_row_cov holds.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpftrf, dpftri, dpftrs, dtfttr, dtrttf
 from scipy.special import digamma, gammaln
 
 from .errors import NegativeResidual, NonFinite, SingularPrecision
-from .linalg import spd_factor, spd_logdet
+from .linalg import _rfp_diagonal, spd_factor, spd_logdet
 from .model import (
     ModelConfig,
     TrainingSet,
@@ -50,10 +50,10 @@ from .model import (
 )
 
 LN_2PI = float(np.log(2.0 * np.pi))
-# Columns per block of update_codes. It bounds the one stack of N x N
-# inverse factors at _BLOCK * N^2 doubles whatever L is (16 MiB at
-# N = 256); larger blocks bought no speed at N = 50 or 256 and only
-# raised peak memory. The means and variances do not depend on it.
+# Columns per block of update_codes. It bounds the one stack of RFP
+# precisions at _BLOCK * N(N+1)/2 doubles whatever L is (8.0 MiB at
+# N = 256); 16 and 64 ran no faster at N = 50 or 256. The means and
+# variances do not depend on it.
 _BLOCK = 32
 
 
@@ -126,93 +126,101 @@ def expected_residual(state: VBState, data: TrainingSet) -> float:
     return max(resid, 0.0)
 
 
-def _inverse_factors(R: np.ndarray, G: np.ndarray, diags: np.ndarray,
-                     label) -> int:
-    """Overwrite the (J, N, N) stack R with inverse Cholesky factors.
+def _rfp_inverses(S: np.ndarray, G: np.ndarray, diags: np.ndarray,
+                  label, rhs=None) -> tuple[int, float]:
+    """Overwrite the (J, N(N+1)/2) stack S with the RFP images of P_j^-1,
+    P_j = G + diag(diags[j]); returns (fallbacks, sum_j log det P_j).
 
-    R[j] becomes L_j^-1, lower triangular, where P_j = G + diag(diags[j])
-    = L_j L_j', so P_j^-1 = R[j]' R[j]. Each P_j is factored in place by
-    LAPACK potrf and inverted by trtri; a P_j that potrf rejects is
-    factored by spd_factor under its one-shot jitter policy instead.
-    Returns how many took that path. If it fails too, SingularPrecision
-    is raised with label(j) in front of its message.
+    Each P_j is factored in place by dpftrf (P_j = U_j'U_j) and inverted
+    by dpftri; in between, dpftrs overwrites rhs[j], if given, with
+    P_j^-1 rhs[j]. A P_j that dpftrf rejects is factored by spd_factor
+    under its one-shot jitter policy and the factor written back; if
+    that fails too, SingularPrecision is raised with label(j) in front.
     """
     N = G.shape[0]
-    rows = np.arange(N)
-    R[:] = G
-    R[:, rows, rows] += diags
+    diag = _rfp_diagonal(N)
+    S[:] = dtrttf(G, "T", "U")[0]
+    S[:, diag] += diags
+    pivots = np.empty((len(S), N))
     fallbacks = 0
-    for j, r in enumerate(R):
-        # r.T is the Fortran-ordered view, so LAPACK writes r in place;
-        # its upper factor U = L' is the lower factor L of r itself.
-        _, info = dpotrf(r.T, lower=0, clean=1, overwrite_a=1)
-        if info != 0:
-            P = G.copy()
-            P[rows, rows] += diags[j]
+    for j, s in enumerate(S):  # s is a row view: LAPACK works in place
+        if dpftrf(N, s, "T", "U", 1)[1]:
             try:
-                (chol, _), _ = spd_factor(P)
+                (chol, _), _ = spd_factor(G + np.diag(diags[j]))
             except SingularPrecision as exc:
                 raise SingularPrecision(f"{label(j)}: {exc}") from exc
-            r[:] = np.tril(chol)
+            s[:] = dtrttf(chol.T, "T", "U")[0]  # U = L', upper of chol.T
             fallbacks += 1
-        dtrtri(r.T, lower=0, overwrite_c=1)
-    return fallbacks
+        if rhs is not None:
+            dpftrs(N, s, rhs[j, :, None], "T", "U", 1)
+        pivots[j] = s[diag]
+        info = dpftri(N, s, "T", "U", 1)[1]
+        if info:
+            raise SingularPrecision(f"{label(j)}: dpftri info {info}")
+    return fallbacks, 2.0 * float(np.sum(np.log(pivots)))
+
+
+def _rfp_symmetric(n: int, x: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix whose upper triangle x holds in RFP."""
+    upper = np.triu(dtfttr(n, x, "T", "U")[0])
+    return upper + np.triu(upper, 1).T
 
 
 def update_codes(state: VBState, data: TrainingSet) -> int:
     """Closed-form refresh of every per-column code posterior.
 
     Columns are independent given the dictionary moments and share the
-    <g><D'D> block of their precisions. Blocks of _BLOCK columns are
-    reduced from their inverse Cholesky factors R_l (Sigma_l = R_l'R_l):
-    mu_l = R_l'(R_l c_l), diag Sigma_l as the column sums of R_l^2, the
-    block's share of sum_l Sigma_l as W'W with W the R_l stacked, and
-    log det Sigma_l = 2 sum log diag R_l; no Sigma_l is formed. Returns
-    the number of columns whose precision took spd_factor's jitter path.
+    <g><D'D> block of their precisions. _rfp_inverses turns each block
+    of _BLOCK precisions into Sigma_l in RFP storage, solving for mu_l
+    and summing log det P_l = -log det Sigma_l on the way; diag Sigma_l
+    is a gather at the RFP diagonal and sum_l Sigma_l a sum of the rows,
+    unpacked once; no Sigma_l is formed in full. Returns the number of
+    columns whose precision took spd_factor's jitter path.
     """
     gamma_mean = state.gamma_shape / state.gamma_rate
     alpha_mean = state.alpha_shape / state.alpha_rates
     G = gamma_mean * _dtd(state)
-    C = gamma_mean * (state.dict_mean.T @ data.Y)
+    mu = gamma_mean * (data.Y.T @ state.dict_mean)  # solved row by row
     N = G.shape[0]
-    cov_sum = np.zeros((N, N))
+    diag = _rfp_diagonal(N)
+    cov_sum = np.zeros(N * (N + 1) // 2)
     logdet_sum = 0.0
     fallbacks = 0
-    stack = np.empty((min(_BLOCK, data.L), N, N))
+    stack = np.empty((min(_BLOCK, data.L), len(cov_sum)))
     for l0 in range(0, data.L, _BLOCK):
         cols = slice(l0, min(l0 + _BLOCK, data.L))
-        R = stack[:cols.stop - l0]
-        fallbacks += _inverse_factors(R, G, alpha_mean[:, cols].T,
-                                      lambda j: f"column {l0 + j}")
-        Rc = R @ C[:, cols].T[:, :, np.newaxis]
-        state.code_means[:, cols] = (R.transpose(0, 2, 1) @ Rc)[:, :, 0].T
-        state.code_vars[:, cols] = np.einsum("jkn,jkn->nj", R, R)
-        W = R.reshape(-1, N)
-        cov_sum += W.T @ W
-        logdet_sum += 2.0 * float(np.sum(np.log(
-            np.diagonal(R, axis1=1, axis2=2))))
-    state.code_cov_sum = cov_sum
+        S = stack[:cols.stop - l0]
+        count, logdet = _rfp_inverses(S, G, alpha_mean[:, cols].T,
+                                      lambda j: f"column {l0 + j}", mu[cols])
+        fallbacks += count
+        logdet_sum -= logdet
+        state.code_vars[:, cols] = S[:, diag].T
+        cov_sum += S.sum(axis=0)
+    state.code_means[:] = mu.T
+    state.code_cov_sum = _rfp_symmetric(N, cov_sum)
     state.code_logdet_sum = logdet_sum
     return fallbacks
 
 
 def update_dictionary_full(state: VBState, data: TrainingSet,
-                           beta: float) -> None:
+                           beta: float) -> int:
     """Whole-dictionary refresh: shared row covariance A and mean B A.
 
-    A = R'R from the inverse Cholesky factor R of its precision
-    <g><XX'> + (1/beta) I (beta = inf adds nothing).
+    A inverts the precision <g><XX'> + (1/beta) I (beta = inf adds
+    nothing) in RFP storage. Returns 1 if that precision took
+    spd_factor's jitter path, else 0.
     """
     N = state.dict_mean.shape[1]
     gamma_mean = state.gamma_shape / state.gamma_rate
-    R = np.empty((1, N, N))
-    _inverse_factors(R, gamma_mean * _x_outer(state),
-                     np.full((1, N), 1.0 / beta),
-                     lambda j: "dictionary row precision")
-    A = R[0].T @ R[0]
+    S = np.empty((1, N * (N + 1) // 2))
+    fallbacks, _ = _rfp_inverses(S, gamma_mean * _x_outer(state),
+                                 np.full((1, N), 1.0 / beta),
+                                 lambda j: "dictionary row precision")
+    A = _rfp_symmetric(N, S[0])
     B = gamma_mean * (data.Y @ state.code_means.T)
     state.dict_mean = B @ A
     state.dict_row_cov = A
+    return fallbacks
 
 
 def update_dictionary_atomwise(state: VBState, data: TrainingSet,
@@ -300,6 +308,7 @@ class VBTrace:
     elbo: list = field(default_factory=list)
     dict_change: list = field(default_factory=list)
     jitter_fallback_per_iter: list = field(default_factory=list)
+    dict_jitter_fallback_per_iter: list = field(default_factory=list)
     iterations_run: int = 0
     converged: bool = False
 
@@ -322,9 +331,11 @@ def run_vb(cfg: ModelConfig, data: TrainingSet,
         d_prev = state.dict_mean.copy()
         trace.jitter_fallback_per_iter.append(update_codes(state, data))
         if variant == "full":
-            update_dictionary_full(state, data, cfg.beta)
+            n_dict = update_dictionary_full(state, data, cfg.beta)
         else:
             update_dictionary_atomwise(state, data, cfg.beta)
+            n_dict = 0
+        trace.dict_jitter_fallback_per_iter.append(n_dict)
         update_alpha(state, cfg)
         update_gamma(state, data, cfg)
         trace.elbo.append(compute_elbo(state, data, cfg))

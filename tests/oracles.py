@@ -10,7 +10,7 @@ tautology.
 import numpy as np
 import scipy.linalg
 from scipy import stats
-from scipy.linalg.lapack import dppsv
+from scipy.linalg.lapack import dpotrf, dppsv, dtrtri
 from scipy.special import gammaln
 
 
@@ -39,6 +39,54 @@ def reduce_code_covs(covs):
         code_cov_sum=covs.sum(axis=0),
         code_logdet_sum=float(np.sum(logdets)),
     )
+
+
+def code_moments_inverse_factors(state, data, jitter_scale):
+    """The q(X) reductions of every column from inverse Cholesky factors.
+
+    Each block of 32 columns stacks R_l = L_l^-1, with P_l = L_l L_l' =
+    <g><D'D> + diag<alpha_l> factored by LAPACK potrf and inverted in
+    place by trtri, so Sigma_l = R_l'R_l. A P_l that potrf rejects gets
+    one diagonal jitter of jitter_scale * trace(P_l) / N. The block gives
+    mu_l = R_l'(R_l c_l), diag Sigma_l as the column sums of R_l^2, its
+    share of sum_l Sigma_l as one GEMM W'W over the stacked R_l, and
+    log det Sigma_l = 2 sum log diag R_l. Returns the four VBState
+    fields as a dict, plus the number of jittered columns.
+    """
+    gamma_mean = state.gamma_shape / state.gamma_rate
+    alpha_mean = state.alpha_shape / state.alpha_rates
+    M = state.dict_mean.shape[0]
+    dtd = state.dict_mean.T @ state.dict_mean + M * state.dict_row_cov
+    G = gamma_mean * 0.5 * (dtd + dtd.T)
+    C = gamma_mean * (state.dict_mean.T @ data.Y)
+    N, L = C.shape
+    rows = np.arange(N)
+    means, variances = np.empty((N, L)), np.empty((N, L))
+    cov_sum, logdet_sum, jittered = np.zeros((N, N)), 0.0, 0
+    for l0 in range(0, L, 32):
+        cols = slice(l0, min(l0 + 32, L))
+        R = np.repeat(G[np.newaxis], cols.stop - l0, axis=0)
+        R[:, rows, rows] += alpha_mean[:, cols].T
+        for j, r in enumerate(R):
+            # r.T is the Fortran-ordered view, so LAPACK writes r in place;
+            # its upper factor U = L' is the lower factor L of r itself.
+            _, info = dpotrf(r.T, lower=0, clean=1, overwrite_a=1)
+            if info != 0:
+                P = G + np.diag(alpha_mean[:, l0 + j])
+                r[:] = P + jitter_scale * np.trace(P) / N * np.eye(N)
+                _, info = dpotrf(r.T, lower=0, clean=1, overwrite_a=1)
+                assert info == 0
+                jittered += 1
+            dtrtri(r.T, lower=0, overwrite_c=1)
+        Rc = R @ C[:, cols].T[:, :, np.newaxis]
+        means[:, cols] = (R.transpose(0, 2, 1) @ Rc)[:, :, 0].T
+        variances[:, cols] = np.einsum("jkn,jkn->nj", R, R)
+        W = R.reshape(-1, N)
+        cov_sum += W.T @ W
+        logdet_sum += 2.0 * float(np.sum(np.log(
+            np.diagonal(R, axis1=1, axis2=2))))
+    return dict(code_means=means, code_vars=variances, code_cov_sum=cov_sum,
+                code_logdet_sum=logdet_sum), jittered
 
 
 def dict_posterior_dense(Y, x_mean, x_outer, gamma_mean, beta):

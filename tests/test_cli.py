@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bayesdict import vb
 from bayesdict.cli import main
 from bayesdict.fileio import load_matrix, load_pgm, save_matrix, save_pgm
 from bayesdict.synthetic import SyntheticSpec, generate_synthetic
@@ -52,7 +53,8 @@ def assert_report_layout(out_dir, metric_keys, artifacts):
 GIBBS_TRAIN_METRICS = ["iterations_run", "kept_samples", "final_residual",
                        "dense_fallback_columns", "signals"]
 VB_TRAIN_METRICS = ["iterations_run", "converged", "elbo_final",
-                    "final_residual", "jitter_fallback_columns", "signals"]
+                    "final_residual", "jitter_fallback_columns",
+                    "jitter_fallback_dictionary", "signals"]
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +270,34 @@ def test_train_vb_metrics(tmp_path, engine):
                    "--iters", "12", "--out", str(out)) == 0
     assert_report_layout(out, VB_TRAIN_METRICS,
                          ["dictionary.txt", "trace.tsv"])
-    assert "jitter_fallback_columns\t0" in (out / "report.txt").read_text()
+    report = (out / "report.txt").read_text()
+    assert "jitter_fallback_columns\t0" in report
+    assert "jitter_fallback_dictionary\t0" in report
     assert f"engine = {engine}" in (out / "config_echo.cfg").read_text()
     trace = (out / "trace.tsv").read_text().strip().split("\n")
     assert trace[0] == "iter\telbo\tdict_change"
     elbos = [float(line.split("\t")[1]) for line in trace[1:]]
     assert all(b >= a - 1e-8 * abs(a) for a, b in zip(elbos, elbos[1:]))
+
+
+def test_train_vb_full_counts_dictionary_jitter_per_sweep(tmp_path,
+                                                          monkeypatch):
+    """jitter_fallback_dictionary sums what update_dictionary_full
+    returns over the sweeps; here every sweep reports one fallback."""
+    real = vb.update_dictionary_full
+
+    def jittered(*args):
+        real(*args)
+        return 1
+
+    monkeypatch.setattr(vb, "update_dictionary_full", jittered)
+    data_path = make_matrix_input(tmp_path)
+    out = tmp_path / "run"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {data_path}\nnum_atoms = 10\ntol = 0\n")
+    assert run_cli("train", "--config", str(cfg), "--engine", "vb-full",
+                   "--iters", "5", "--out", str(out)) == 0
+    assert "jitter_fallback_dictionary\t5" in (out / "report.txt").read_text()
 
 
 def test_train_on_image_patches(tmp_path):

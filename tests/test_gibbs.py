@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dtfttr
+from scipy.linalg.lapack import dtfttr, dtrttf
 
 from bayesdict import (
     ModelConfig,
@@ -26,6 +26,7 @@ from bayesdict.gibbs import (
     sample_codes,
     sample_gamma,
 )
+from bayesdict.linalg import _rfp_diagonal
 from bayesdict.model import GibbsState
 
 import oracles
@@ -232,6 +233,17 @@ def test_packed_outer_lays_out_rfp(M):
     marks = np.zeros(K.shape[1])
     marks[diag] = 1.0
     assert np.array_equal(dtfttr(M, marks, "T", "U")[0], np.eye(M))
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 50, 64])
+def test_rfp_diagonal_marks_dtrttf_diagonal(n):
+    """dtrttf of diag(1..n) puts entry (i, i) at the i-th returned
+    position and zeros everywhere else."""
+    arf, info = dtrttf(np.diag(np.arange(1.0, n + 1.0)), "T", "U")
+    assert info == 0
+    diag = _rfp_diagonal(n)
+    np.testing.assert_array_equal(arf[diag], np.arange(1.0, n + 1.0))
+    assert np.count_nonzero(arf) == n
 
 
 def test_sample_codes_names_the_column_a_dense_draw_fails_on(monkeypatch):

@@ -127,23 +127,27 @@ def test_expected_residual_clamps_cancellation_inside_the_floor():
 
 
 def test_update_codes_matches_dense_oracle():
-    rng, data = make_problem(M=3, N=4, L=5, seed=2)
-    st = random_state(rng, 3, 4, 5)
-    pre = moments_from_state(st)
-    update_codes(st, data)
-    covs = []
-    for l in range(data.L):
-        mu, Sigma = oracles.code_posterior_dense(
-            st.dict_mean, pre.dtd, pre.alpha_mean[:, l], pre.gamma_mean,
-            data.Y[:, l])
-        np.testing.assert_allclose(st.code_means[:, l], mu, rtol=1e-10)
-        covs.append(Sigma)
-    want = oracles.reduce_code_covs(np.stack(covs))
-    np.testing.assert_allclose(st.code_vars, want["code_vars"], rtol=1e-10)
-    np.testing.assert_allclose(st.code_cov_sum, want["code_cov_sum"],
-                               rtol=1e-10)
-    assert st.code_logdet_sum == pytest.approx(want["code_logdet_sum"],
-                                               rel=1e-10)
+    """N = 1, even and odd N take different RFP layouts."""
+    for N in (1, 4, 5):
+        rng, data = make_problem(M=3, N=N, L=5, seed=2)
+        st = random_state(rng, 3, N, 5)
+        pre = moments_from_state(st)
+        update_codes(st, data)
+        covs = []
+        for l in range(data.L):
+            mu, Sigma = oracles.code_posterior_dense(
+                st.dict_mean, pre.dtd, pre.alpha_mean[:, l], pre.gamma_mean,
+                data.Y[:, l])
+            np.testing.assert_allclose(st.code_means[:, l], mu, rtol=1e-10,
+                                       err_msg=f"N={N}")
+            covs.append(Sigma)
+        want = oracles.reduce_code_covs(np.stack(covs))
+        np.testing.assert_allclose(st.code_vars, want["code_vars"],
+                                   rtol=1e-10, err_msg=f"N={N}")
+        np.testing.assert_allclose(st.code_cov_sum, want["code_cov_sum"],
+                                   rtol=1e-10, err_msg=f"N={N}")
+        assert st.code_logdet_sum == pytest.approx(want["code_logdet_sum"],
+                                                   rel=1e-10), N
 
 
 def test_update_codes_scalar_arithmetic():
@@ -286,6 +290,46 @@ def test_update_codes_names_the_column_with_indefinite_precision(
         update_codes(st, data)
 
 
+@pytest.mark.parametrize("N, jitter_column", [(50, None), (51, None),
+                                               (50, 40)])
+def test_update_codes_matches_inverse_factor_oracle(N, jitter_column):
+    """The RFP path against the stacked potrf + trtri reductions it
+    replaced, over L = 70 columns (three blocks of 32). With a
+    jitter_column, atom 7 is zero and that column gives it no prior
+    precision, so both paths take the one-shot jitter there."""
+    rng, data = make_problem(M=20, N=N, L=70, seed=27)
+    st = random_state(rng, 20, N, 70)
+    if jitter_column is not None:
+        st.dict_mean[:, 7] = 0.0
+        st.dict_row_cov[7, :] = st.dict_row_cov[:, 7] = 0.0
+        st.alpha_rates[7, jitter_column] = np.inf
+    want, jittered = oracles.code_moments_inverse_factors(st, data,
+                                                          JITTER_SCALE)
+    assert update_codes(st, data) == jittered == (jitter_column is not None)
+    for key in ("code_means", "code_vars", "code_cov_sum"):
+        np.testing.assert_allclose(
+            getattr(st, key), want[key], rtol=0,
+            atol=1e-12 * np.max(np.abs(want[key])), err_msg=key)
+    assert st.code_logdet_sum == pytest.approx(want["code_logdet_sum"],
+                                               rel=1e-12)
+
+
+def test_update_codes_names_the_column_dpftri_rejects(monkeypatch):
+    """A zero pivot reported by dpftri raises SingularPrecision naming
+    its column."""
+    rng, data = make_problem(M=3, N=4, L=5, seed=28)
+    st = random_state(rng, 3, 4, 5)
+    calls = []
+
+    def failing(n, a, *args):
+        calls.append(n)
+        return a, 2 if len(calls) == 4 else 0
+
+    monkeypatch.setattr(vb, "dpftri", failing)
+    with pytest.raises(SingularPrecision, match=r"^column 3: "):
+        update_codes(st, data)
+
+
 def test_code_posterior_state_does_not_grow_with_l_times_n_squared():
     """q(X) is held as reductions: no array in the state has more than
     max(N*L, N^2) entries, where the per-column stack had L*N^2."""
@@ -301,14 +345,39 @@ def test_code_posterior_state_does_not_grow_with_l_times_n_squared():
 
 @pytest.mark.parametrize("beta", [0.7, 1e8, float("inf")])
 def test_update_dictionary_full_matches_dense_oracle(beta):
-    rng, data = make_problem(M=3, N=4, L=5, seed=3)
+    """N = 1, even and odd N take different RFP layouts."""
+    for N in (1, 4, 5):
+        rng, data = make_problem(M=3, N=N, L=5, seed=3)
+        st = random_state(rng, 3, N, 5)
+        pre = moments_from_state(st)
+        assert update_dictionary_full(st, data, beta) == 0
+        D_mean, A = oracles.dict_posterior_dense(
+            data.Y, pre.x_mean, pre.x_outer, pre.gamma_mean, beta)
+        np.testing.assert_allclose(st.dict_mean, D_mean, rtol=1e-10,
+                                   err_msg=f"N={N}")
+        np.testing.assert_allclose(st.dict_row_cov, A, rtol=1e-10,
+                                   err_msg=f"N={N}")
+
+
+def test_update_dictionary_full_jitters_a_zero_code_row():
+    """Code row 2 and its covariance are zero, so under a flat prior the
+    q(D) precision has an exactly zero pivot: it takes spd_factor's
+    one-shot jitter, and A and the mean are the dense ones of the
+    jittered precision."""
+    rng, data = make_problem(M=3, N=4, L=5, seed=26)
     st = random_state(rng, 3, 4, 5)
+    st.code_means[2] = 0.0
+    st.code_cov_sum[2, :] = st.code_cov_sum[:, 2] = 0.0
     pre = moments_from_state(st)
-    update_dictionary_full(st, data, beta)
+    assert update_dictionary_full(st, data, beta=np.inf) == 1
+    jitter = JITTER_SCALE * np.trace(pre.gamma_mean * pre.x_outer) / 4
     D_mean, A = oracles.dict_posterior_dense(
-        data.Y, pre.x_mean, pre.x_outer, pre.gamma_mean, beta)
-    np.testing.assert_allclose(st.dict_mean, D_mean, rtol=1e-10)
-    np.testing.assert_allclose(st.dict_row_cov, A, rtol=1e-10)
+        data.Y, pre.x_mean, pre.x_outer + jitter / pre.gamma_mean * np.eye(4),
+        pre.gamma_mean, np.inf)
+    np.testing.assert_allclose(st.dict_row_cov, A, rtol=1e-10,
+                               atol=1e-12 * np.max(np.abs(A)))
+    np.testing.assert_allclose(st.dict_mean, D_mean, rtol=1e-10,
+                               atol=1e-12 * np.max(np.abs(D_mean)))
 
 
 def test_update_dictionary_full_names_its_singular_precision():
@@ -665,6 +734,8 @@ def test_run_vb_trace_and_determinism():
     assert tr1.iterations_run == 30
     assert not tr1.converged
     assert len(tr1.elbo) == len(tr1.dict_change) == 30
+    assert tr1.jitter_fallback_per_iter == [0] * 30
+    assert tr1.dict_jitter_fallback_per_iter == [0] * 30
     np.testing.assert_array_equal(st1.dict_mean, st2.dict_mean)
     assert tr1.elbo == tr2.elbo
 
