@@ -13,9 +13,10 @@ conditional is drawn with one M x M SPD solve (Bhattacharya, Chakraborty
 of columns directly in LAPACK's Rectangular Full Packed (RFP) storage:
 the M(M+1)/2 entries of a triangle, laid out so that the blocked level-3
 dpftrf factors it in place and dpftrs solves against it (Gustavson,
-Wasniewski, Dongarra & Langou, ACM TOMS 2010). A failed factorization
-raises SingularPrecision naming the column. That solve loses
-about eps * kappa_l of relative accuracy, with
+Wasniewski, Dongarra & Langou, ACM TOMS 2010), in the slot order that
+linalg._rfp_layout reads off LAPACK. A failed factorization raises
+SingularPrecision naming the column. That solve loses about
+eps * kappa_l of relative accuracy, with
 kappa_l = 1 + g sum_n ||d_n||^2 / alpha_nl bounding its condition
 number, so columns with kappa_l above _KAPPA_MAX are drawn by a dense
 N x N Cholesky factorization instead; ChainTrace counts them per sweep.
@@ -34,7 +35,7 @@ from .errors import (
     SingularPrecision,
     TailLargerThanTrace,
 )
-from .linalg import _rfp_diagonal, spd_factor
+from .linalg import _rfp_layout, spd_factor
 from .model import (
     GibbsState,
     ModelConfig,
@@ -45,7 +46,8 @@ from .model import (
     validate_config,
 )
 
-_TINY = np.finfo(np.float64).tiny
+# a Python float, so a gamma clamped to it is written as a plain number
+_TINY = float(np.finfo(np.float64).tiny)
 # Columns per block in sample_codes. It bounds the per-block
 # temporaries (normals, the RFP M x M systems) whatever L is; the
 # draws do not depend on it.
@@ -73,8 +75,9 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
     u = z[:N] / sqrt(alpha_l) ~ N(0, A_l^-1) and delta = z[N:], solves
     S_l w = sqrt(g) y_l - phi u - delta with S_l = I_M + phi A_l^-1 phi'
     and returns u + A_l^-1 phi' w, an exact draw. S_l is SPD, so only
-    one triangle is formed, in RFP storage (one GEMM per block against
-    _packed_outer's K); LAPACK dpftrf factors it in place and dpftrs
+    one triangle is formed, in RFP storage: one GEMM per block against
+    K (N x M(M+1)/2), whose row n holds phi_n phi_n' at the slots of
+    _rfp_layout(M). LAPACK dpftrf factors it in place and dpftrs
     solves into w, two calls per column. The normals are drawn one row
     per column, so the stream does not depend on the block size.
     Columns with kappa_l > _KAPPA_MAX are drawn densely from their first
@@ -85,14 +88,18 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
     M, N = D.shape
     root_g = np.sqrt(state.gamma)
     phi = root_g * D
-    K, diag = _packed_outer(phi)
+    rows, cols, diag = _rfp_layout(M)
+    K = np.empty((N, len(rows)))
+    for k in range(0, len(rows), M):  # M slots at a time: N x M gathers
+        np.multiply(phi.T[:, rows[k:k + M]], phi.T[:, cols[k:k + M]],
+                    out=K[:, k:k + M])
     norms2 = np.einsum("in,in->n", phi, phi)
     G = None
     n_dense = 0
     for l0 in range(0, data.L, _BLOCK):
-        cols = slice(l0, min(l0 + _BLOCK, data.L))
-        z = rng.standard_normal((cols.stop - l0, N + M))
-        inv_alpha = 1.0 / state.alpha[:, cols].T
+        block = slice(l0, min(l0 + _BLOCK, data.L))
+        z = rng.standard_normal((block.stop - l0, N + M))
+        inv_alpha = 1.0 / state.alpha[:, block].T
         u = z[:, :N] * np.sqrt(inv_alpha)
         with np.errstate(over="ignore"):  # inf kappa also goes dense
             dense = np.flatnonzero(1.0 + inv_alpha @ norms2 > _KAPPA_MAX)
@@ -100,7 +107,7 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
         inv_alpha[dense] = 0.0
         S = inv_alpha @ K
         S[:, diag] += 1.0
-        w = root_g * data.Y[:, cols].T - u @ phi.T - z[:, N:]
+        w = root_g * data.Y[:, block].T - u @ phi.T - z[:, N:]
         # s and b are views of rows of S and w: both calls work in place
         for j, (s, b) in enumerate(zip(S, w[:, :, None])):
             _, info = dpftrf(M, s, "T", "U", 1)
@@ -109,7 +116,7 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
                     f"column {l0 + j}: data-space system is not positive "
                     f"definite (dpftrf info {info})")
             dpftrs(M, s, b, "T", "U", 1)
-        state.X[:, cols] = (u + inv_alpha * (w @ phi)).T
+        state.X[:, block] = (u + inv_alpha * (w @ phi)).T
         if dense.size:
             if G is None:
                 G = state.gamma * (D.T @ D)
@@ -122,35 +129,6 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
                     raise SingularPrecision(f"column {l0 + j}: {exc}") from exc
             n_dense += dense.size
     return n_dense
-
-
-def _packed_outer(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K (N x M(M+1)/2) with K[n] = phi_n phi_n' in RFP storage, and the
-    positions of its diagonal.
-
-    The layout is LAPACK's RFP for transr='T', uplo='U' (what dtpttf
-    gives), so (1/alpha_l)' K is phi A_l^-1 phi' ready for dpftrf. With
-    h = M // 2 it is 2h + 1 rows of M - h entries. Row r < h holds
-    entries (r, h..M-1). Row r = h + t holds column t - 1 of the top-left
-    h x h triangle, (0..t-1, t-1), if t > 0, then (r, r..M-1) if r < M.
-    Each of these runs is a slice of phi' times one of its columns,
-    written in place: about 1.5 M products in all.
-    """
-    M, N = phi.shape
-    h = M // 2
-    width = M - h
-    K = np.empty((N, M * (M + 1) // 2))
-    phi_t = phi.T
-    for r in range(2 * h + 1):
-        start, t = r * width, r - h
-        if t > 0:
-            np.multiply(phi_t[:, :t], phi_t[:, t - 1:t],
-                        out=K[:, start:start + t])
-            start += t
-        if r < M:
-            np.multiply(phi_t[:, max(r, h):], phi_t[:, r:r + 1],
-                        out=K[:, start:start + width - max(t, 0)])
-    return K, _rfp_diagonal(M)
 
 
 def _dense_draw(G: np.ndarray, c: np.ndarray, alpha_col: np.ndarray,

@@ -6,10 +6,13 @@ failure a single jitter of 1e-10 * trace/n is added to the diagonal; a
 second failure raises SingularPrecision, which callers treat as a
 numerical blow-up. The engines factor their batched systems in RFP
 storage with LAPACK directly; VB comes here only for one that fails.
+_rfp_layout is the one place that layout is defined: a slot-to-entry
+table both engines pack and unpack through.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrttf
 
 from .errors import SingularPrecision
 
@@ -44,9 +47,21 @@ def spd_logdet(S: np.ndarray) -> float:
     return logdet
 
 
-def _rfp_diagonal(n: int) -> np.ndarray:
-    """Positions of the diagonal of an n x n matrix in LAPACK's RFP
-    storage for transr='T', uplo='U': 2h + 1 rows of n - h, h = n // 2."""
-    h = n // 2
-    i = np.arange(n)
-    return np.where(i < h, (h + i + 1) * (n - h) + i, i * (n - h) + i - h)
+def _rfp_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK's Rectangular Full Packed (RFP) storage of a symmetric
+    n x n matrix (transr='T', uplo='U') as (rows, cols, diag): slot k
+    holds upper-triangle entry (rows[k], cols[k]), so A[rows, cols] packs
+    A, and slot diag[i] holds (i, i). It is read off dtrttf, packing the
+    matrix whose entry (i, j) is its own flat index i n + j."""
+    arf, _ = dtrttf(np.arange(n * n, dtype=np.float64).reshape(n, n), "T", "U")
+    rows, cols = np.divmod(arf.astype(np.intp), n)
+    return rows, cols, np.lexsort((rows, rows != cols))[:n]  # diagonal, by i
+
+
+def _rfp_unpack(x: np.ndarray, layout) -> np.ndarray:
+    """The symmetric matrix whose upper triangle x holds in RFP storage,
+    layout = _rfp_layout(n)."""
+    rows, cols, diag = layout
+    A = np.empty((len(diag), len(diag)))
+    A[rows, cols] = A[cols, rows] = x
+    return A

@@ -149,10 +149,12 @@ def validate_config(cfg: ModelConfig, data: TrainingSet) -> ModelConfig:
 
     Returns cfg unchanged on success so call sites can chain it.
     """
-    for name in ("a", "b", "c", "d", "beta"):
+    for name in ("a", "b", "c", "d"):
         v = getattr(cfg, name)
-        if not v > 0:  # also catches nan
-            raise NonPositiveHyperparameter(name, v)
+        if not 0 < v < np.inf:  # also catches nan
+            raise NonPositiveHyperparameter(name, v, "finite and positive")
+    if not cfg.beta > 0:  # inf is allowed: a flat dictionary prior
+        raise NonPositiveHyperparameter("beta", cfg.beta)
     for name in ("num_atoms", "max_iters", "thinning"):
         v = getattr(cfg, name)
         if v < 1:

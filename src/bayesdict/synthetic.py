@@ -53,6 +53,9 @@ def snr_to_noise_std(clean: np.ndarray, snr_db: float) -> float:
 def generate_synthetic(spec: SyntheticSpec):
     """Returns (D_true, X_true, Y, sigma); pure function of spec."""
     lo, hi = _sparsity_bounds(spec)
+    if not spec.snr_db > -np.inf:  # also catches nan; +inf is noiseless
+        raise NonPositiveHyperparameter("snr_db", spec.snr_db,
+                                        "a number or +inf")
     for name in ("M", "N", "L"):
         if getattr(spec, name) < 1:
             raise NonPositiveHyperparameter(name, getattr(spec, name),
@@ -69,7 +72,7 @@ def generate_synthetic(spec: SyntheticSpec):
         support = rng.choice(spec.N, size=int(ks[l]), replace=False)
         X[support, l] = rng.standard_normal(int(ks[l]))
     clean = D @ X
-    if np.isinf(spec.snr_db):
+    if spec.snr_db == np.inf:
         return D, X, clean.copy(), 0.0
     sigma = snr_to_noise_std(clean, spec.snr_db)
     Y = clean + sigma * rng.standard_normal((spec.M, spec.L))

@@ -19,11 +19,12 @@ The other updates read q(X) only through diag(Sigma_l) (for <x_nl^2>),
 sum_l Sigma_l (for <XX'>) and sum_l log det Sigma_l (for the entropy),
 so the state keeps those three reductions instead of the L x N x N
 stack of Sigma_l. Each precision P = U'U is held in LAPACK's
-Rectangular Full Packed (RFP) storage, as in the Gibbs code step, and
-turned into its covariance in place by dpftrf and dpftri; update_codes
-solves for mu_l with dpftrs and reads log det Sigma_l off U between the
-two. A precision that dpftrf rejects goes through linalg.spd_factor's
-jitter policy instead.
+Rectangular Full Packed (RFP) storage, in the slot order of
+linalg._rfp_layout as in the Gibbs code step, and turned into its
+covariance in place by dpftrf and dpftri; update_codes solves for mu_l
+with dpftrs and reads log det Sigma_l off U between the two. A
+precision that dpftrf rejects goes through linalg.spd_factor's jitter
+policy instead.
 
 Two dictionary updates are provided: the whole-matrix form above and a
 sequential one-atom-at-a-time form whose per-atom covariance is a
@@ -35,11 +36,11 @@ dict_row_cov holds.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpftrf, dpftri, dpftrs, dtfttr, dtrttf
+from scipy.linalg.lapack import dpftrf, dpftri, dpftrs
 from scipy.special import digamma, gammaln
 
 from .errors import NegativeResidual, NonFinite, SingularPrecision
-from .linalg import _rfp_diagonal, spd_factor, spd_logdet
+from .linalg import _rfp_layout, _rfp_unpack, spd_factor, spd_logdet
 from .model import (
     ModelConfig,
     TrainingSet,
@@ -126,20 +127,21 @@ def expected_residual(state: VBState, data: TrainingSet) -> float:
     return max(resid, 0.0)
 
 
-def _rfp_inverses(S: np.ndarray, G: np.ndarray, diags: np.ndarray,
+def _rfp_inverses(S: np.ndarray, G: np.ndarray, diags: np.ndarray, layout,
                   label, rhs=None) -> tuple[int, float]:
     """Overwrite the (J, N(N+1)/2) stack S with the RFP images of P_j^-1,
     P_j = G + diag(diags[j]); returns (fallbacks, sum_j log det P_j).
 
-    Each P_j is factored in place by dpftrf (P_j = U_j'U_j) and inverted
-    by dpftri; in between, dpftrs overwrites rhs[j], if given, with
-    P_j^-1 rhs[j]. A P_j that dpftrf rejects is factored by spd_factor
-    under its one-shot jitter policy and the factor written back; if
-    that fails too, SingularPrecision is raised with label(j) in front.
+    On entry every row of S holds G[rows, cols], (rows, cols, diag) =
+    layout = _rfp_layout(N). Each P_j is factored in place by dpftrf
+    (P_j = U_j'U_j) and inverted by dpftri; in between, dpftrs
+    overwrites rhs[j], if given, with P_j^-1 rhs[j]. A P_j that dpftrf
+    rejects is factored by spd_factor under its one-shot jitter policy
+    and the factor written back; if that fails too, SingularPrecision is
+    raised with label(j) in front.
     """
     N = G.shape[0]
-    diag = _rfp_diagonal(N)
-    S[:] = dtrttf(G, "T", "U")[0]
+    rows, cols, diag = layout
     S[:, diag] += diags
     pivots = np.empty((len(S), N))
     fallbacks = 0
@@ -149,7 +151,7 @@ def _rfp_inverses(S: np.ndarray, G: np.ndarray, diags: np.ndarray,
                 (chol, _), _ = spd_factor(G + np.diag(diags[j]))
             except SingularPrecision as exc:
                 raise SingularPrecision(f"{label(j)}: {exc}") from exc
-            s[:] = dtrttf(chol.T, "T", "U")[0]  # U = L', upper of chol.T
+            s[:] = chol[cols, rows]  # U = L', off chol's lower half
             fallbacks += 1
         if rhs is not None:
             dpftrs(N, s, rhs[j, :, None], "T", "U", 1)
@@ -158,12 +160,6 @@ def _rfp_inverses(S: np.ndarray, G: np.ndarray, diags: np.ndarray,
         if info:
             raise SingularPrecision(f"{label(j)}: dpftri info {info}")
     return fallbacks, 2.0 * float(np.sum(np.log(pivots)))
-
-
-def _rfp_symmetric(n: int, x: np.ndarray) -> np.ndarray:
-    """The symmetric n x n matrix whose upper triangle x holds in RFP."""
-    upper = np.triu(dtfttr(n, x, "T", "U")[0])
-    return upper + np.triu(upper, 1).T
 
 
 def update_codes(state: VBState, data: TrainingSet) -> int:
@@ -181,23 +177,24 @@ def update_codes(state: VBState, data: TrainingSet) -> int:
     alpha_mean = state.alpha_shape / state.alpha_rates
     G = gamma_mean * _dtd(state)
     mu = gamma_mean * (data.Y.T @ state.dict_mean)  # solved row by row
-    N = G.shape[0]
-    diag = _rfp_diagonal(N)
-    cov_sum = np.zeros(N * (N + 1) // 2)
+    layout = rows, cols, diag = _rfp_layout(G.shape[0])
+    packed = G[rows, cols]
+    cov_sum = np.zeros_like(packed)
     logdet_sum = 0.0
     fallbacks = 0
-    stack = np.empty((min(_BLOCK, data.L), len(cov_sum)))
+    stack = np.empty((min(_BLOCK, data.L), len(packed)))
     for l0 in range(0, data.L, _BLOCK):
-        cols = slice(l0, min(l0 + _BLOCK, data.L))
-        S = stack[:cols.stop - l0]
-        count, logdet = _rfp_inverses(S, G, alpha_mean[:, cols].T,
-                                      lambda j: f"column {l0 + j}", mu[cols])
+        block = slice(l0, min(l0 + _BLOCK, data.L))
+        S = stack[:block.stop - l0]
+        S[:] = packed
+        count, logdet = _rfp_inverses(S, G, alpha_mean[:, block].T, layout,
+                                      lambda j: f"column {l0 + j}", mu[block])
         fallbacks += count
         logdet_sum -= logdet
-        state.code_vars[:, cols] = S[:, diag].T
+        state.code_vars[:, block] = S[:, diag].T
         cov_sum += S.sum(axis=0)
     state.code_means[:] = mu.T
-    state.code_cov_sum = _rfp_symmetric(N, cov_sum)
+    state.code_cov_sum = _rfp_unpack(cov_sum, layout)
     state.code_logdet_sum = logdet_sum
     return fallbacks
 
@@ -212,11 +209,12 @@ def update_dictionary_full(state: VBState, data: TrainingSet,
     """
     N = state.dict_mean.shape[1]
     gamma_mean = state.gamma_shape / state.gamma_rate
-    S = np.empty((1, N * (N + 1) // 2))
-    fallbacks, _ = _rfp_inverses(S, gamma_mean * _x_outer(state),
-                                 np.full((1, N), 1.0 / beta),
+    G = gamma_mean * _x_outer(state)
+    layout = rows, cols, _ = _rfp_layout(N)
+    S = G[rows, cols][None]
+    fallbacks, _ = _rfp_inverses(S, G, np.full((1, N), 1.0 / beta), layout,
                                  lambda j: "dictionary row precision")
-    A = _rfp_symmetric(N, S[0])
+    A = _rfp_unpack(S[0], layout)
     B = gamma_mean * (data.Y @ state.code_means.T)
     state.dict_mean = B @ A
     state.dict_row_cov = A

@@ -377,6 +377,24 @@ def test_train_requires_input_key(tmp_path, capsys):
     assert "input" in capsys.readouterr().err
 
 
+def test_train_trace_parses_when_gamma_is_clamped(tmp_path):
+    """d = 1.7e308 on a 1 x 3 input makes every gamma draw smaller than
+    the smallest normal double, so the chain clamps it there; the trace
+    still holds plain numbers."""
+    data_path = tmp_path / "tiny.txt"
+    save_matrix(np.array([[0.3, -1.2, 0.7]]), data_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {data_path}\nnum_atoms = 2\niters = 3\n"
+                   "d = 1.7e308\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
+    rows = [line.split("\t") for line
+            in (out / "trace.tsv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(float(field) >= 0 for row in rows for field in row)
+    assert {float(row[2]) for row in rows} == {np.finfo(np.float64).tiny}
+
+
 @pytest.mark.parametrize("engine", ["vb-full", "vb-atomwise"])
 def test_vb_engines_reject_burn_in_flag(tmp_path, capsys, engine):
     data_path = make_matrix_input(tmp_path)

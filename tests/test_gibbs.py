@@ -26,7 +26,7 @@ from bayesdict.gibbs import (
     sample_codes,
     sample_gamma,
 )
-from bayesdict.linalg import _rfp_diagonal
+from bayesdict.linalg import _rfp_layout, _rfp_unpack
 from bayesdict.model import GibbsState
 
 import oracles
@@ -215,15 +215,36 @@ def test_sample_codes_names_the_column_dpftrf_rejects(monkeypatch):
     assert len(calls) == 66
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 20, 50, 64, 256])
+def test_rfp_layout_decodes_through_dtfttr(n):
+    """_rfp_layout(n) is read off LAPACK's dtrttf; unpacking with its
+    inverse, dtfttr, puts slot k at (rows[k], cols[k]) of the upper
+    triangle, and _rfp_unpack inverts A[rows, cols]. Odd and even n take
+    different layouts."""
+    layout = rows, cols, diag = _rfp_layout(n)
+    size = n * (n + 1) // 2
+    slots = np.arange(1.0, size + 1.0)
+    upper = np.triu(dtfttr(n, slots, "T", "U")[0])
+    np.testing.assert_array_equal(upper[rows, cols], slots)
+    assert np.count_nonzero(upper) == size
+
+    rng = np.random.default_rng(28 + n)
+    A = rng.standard_normal((n, n))
+    A += A.T
+    np.testing.assert_array_equal(_rfp_unpack(A[rows, cols], layout), A)
+
+
 @pytest.mark.parametrize("M", [1, 2, 5, 20, 64])
 def test_packed_outer_lays_out_rfp(M):
-    """(1/alpha)' K unpacked by LAPACK dtfttr is the upper triangle of
-    phi diag(1/alpha) phi', and the returned positions are exactly its
-    diagonal. Odd and even M take different RFP layouts."""
+    """K, built from the _rfp_layout table as sample_codes builds it,
+    gives (1/alpha)' K that LAPACK dtfttr unpacks to the upper triangle
+    of phi diag(1/alpha) phi', and the layout's diag slots are exactly
+    its diagonal. Odd and even M take different RFP layouts."""
     rng = np.random.default_rng(28 + M)
     phi = rng.standard_normal((M, 9))
     inv_alpha = rng.random(9)
-    K, diag = gibbs._packed_outer(phi)
+    rows, cols, diag = _rfp_layout(M)
+    K = phi.T[:, rows] * phi.T[:, cols]
     assert K.shape == (9, M * (M + 1) // 2)
     full, info = dtfttr(M, inv_alpha @ K, "T", "U")
     assert info == 0
@@ -237,11 +258,11 @@ def test_packed_outer_lays_out_rfp(M):
 
 @pytest.mark.parametrize("n", [*range(1, 10), 50, 64])
 def test_rfp_diagonal_marks_dtrttf_diagonal(n):
-    """dtrttf of diag(1..n) puts entry (i, i) at the i-th returned
-    position and zeros everywhere else."""
+    """dtrttf of diag(1..n) puts entry (i, i) at the i-th diag slot of
+    _rfp_layout(n) and zeros everywhere else."""
     arf, info = dtrttf(np.diag(np.arange(1.0, n + 1.0)), "T", "U")
     assert info == 0
-    diag = _rfp_diagonal(n)
+    diag = _rfp_layout(n)[2]
     np.testing.assert_array_equal(arf[diag], np.arange(1.0, n + 1.0))
     assert np.count_nonzero(arf) == n
 
@@ -263,9 +284,10 @@ def test_sample_codes_names_the_column_a_dense_draw_fails_on(monkeypatch):
 def test_sample_codes_at_image_scale_stays_compact():
     """64/256/3721, the image-train shape. The RFP K is 4.1 MiB; a
     block's RFP systems 1.0 MiB. Measured peak traced allocation of one
-    call: 6.8 MiB (6.7 MiB with dppsv on the same packed size), against
-    12.6 MiB when every system was formed in full from an N x M^2 K. The
-    bound leaves ~15% of margin."""
+    call: 6.8 MiB with K gathered from the layout table M slots at a
+    time, against 12.3 MiB with one whole-width gather and 12.6 MiB when
+    every system was formed in full from an N x M^2 K. The bound leaves
+    ~15% of margin."""
     state, data = fixed_problem(seed=24, M=64, N=256, L=3721)
     tracemalloc.start()
     try:

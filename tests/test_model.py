@@ -56,6 +56,15 @@ def test_positivity_validation(field, bad):
         validate_config(cfg, make_data())
 
 
+@pytest.mark.parametrize("field", ["a", "b", "c", "d"])
+def test_infinite_gamma_hyperparameters_rejected(field):
+    """A Gamma shape or rate of inf makes a degenerate prior (a = inf
+    pins every code at 0); only beta may be inf."""
+    cfg = ModelConfig(num_atoms=4, **{field: float("inf")})
+    with pytest.raises(NonPositiveHyperparameter, match=f"^{field} must be"):
+        validate_config(cfg, make_data())
+
+
 def test_beta_inf_is_allowed():
     validate_config(ModelConfig(num_atoms=4, beta=float("inf")), make_data())
 

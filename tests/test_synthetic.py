@@ -73,6 +73,14 @@ def test_infinite_snr_is_noiseless():
     np.testing.assert_array_equal(Y, D @ X)
 
 
+@pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+def test_snr_below_every_number_rejected(snr_db):
+    """-inf dB would need infinite noise; it is not the noiseless +inf."""
+    spec = SyntheticSpec(M=6, N=9, L=30, sparsity=2, snr_db=snr_db, seed=4)
+    with pytest.raises(NonPositiveHyperparameter, match="^snr_db must be"):
+        generate_synthetic(spec)
+
+
 def test_determinism_and_seed_sensitivity():
     spec = SyntheticSpec(M=6, N=9, L=30, sparsity=2, snr_db=20.0, seed=7)
     out1 = generate_synthetic(spec)
