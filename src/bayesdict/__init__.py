@@ -4,6 +4,11 @@ Hierarchical Gaussian/Gamma model over a dictionary and sparse codes,
 fit either by mean-field variational inference or by a blocked Gibbs
 sampler, with OMP sparse coding, a synthetic recovery benchmark, and a
 patch-based image denoising pipeline.
+
+Importing the package loads numpy only. scipy loads at the first engine
+call: a scipy import goes inside the function that calls it, never at
+module level, so OMP and denoising run without it. The test
+test_import_and_denoise_load_no_scipy enforces this.
 """
 
 from . import errors

@@ -26,8 +26,6 @@ After every sweep a non-finite gamma, D or X raises NonFinite.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .errors import (
     EmptyTrace,
@@ -49,8 +47,9 @@ from .model import (
 # a Python float, so a gamma clamped to it is written as a plain number
 _TINY = float(np.finfo(np.float64).tiny)
 # Columns per block in sample_codes. It bounds the per-block
-# temporaries (normals, the RFP M x M systems) whatever L is; the
-# draws do not depend on it.
+# temporaries (normals, the RFP M x M systems) whatever L is. The
+# normal stream does not depend on it, but the GEMMs round differently,
+# so draws under two block sizes agree to round-off, not bit for bit.
 _BLOCK = 64
 # kappa_l above this sends a column to the dense draw: the data-space
 # mean's relative error grows like eps * kappa_l (1e-11 at kappa 1e5,
@@ -84,6 +83,8 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
     N normals instead. Returns the number of such columns. A failure of
     either draw raises SingularPrecision starting "column <l>: ".
     """
+    from scipy.linalg.lapack import dpftrf, dpftrs
+
     D, rng = state.D, state.rng
     M, N = D.shape
     root_g = np.sqrt(state.gamma)
@@ -138,6 +139,8 @@ def _dense_draw(G: np.ndarray, c: np.ndarray, alpha_col: np.ndarray,
     Factors P = LL' under spd_factor's jitter policy and returns
     L'^-1 (L^-1 c + z) = P^-1 c + L'^-1 z, so no covariance is formed.
     """
+    import scipy.linalg
+
     P = G.copy()
     P[np.diag_indices_from(P)] += alpha_col
     (chol, _), _ = spd_factor(P)

@@ -11,8 +11,6 @@ table both engines pack and unpack through.
 """
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrttf
 
 from .errors import SingularPrecision
 
@@ -25,6 +23,8 @@ def spd_factor(P: np.ndarray):
     Returns a (cho_factor, logdet_of_P) pair; the factor is lower
     triangular, for scipy.linalg.solve_triangular or cho_solve.
     """
+    import scipy.linalg
+
     try:
         c, low = scipy.linalg.cho_factor(P, lower=True, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError):
@@ -53,6 +53,8 @@ def _rfp_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     holds upper-triangle entry (rows[k], cols[k]), so A[rows, cols] packs
     A, and slot diag[i] holds (i, i). It is read off dtrttf, packing the
     matrix whose entry (i, j) is its own flat index i n + j."""
+    from scipy.linalg.lapack import dtrttf
+
     arf, _ = dtrttf(np.arange(n * n, dtype=np.float64).reshape(n, n), "T", "U")
     rows, cols = np.divmod(arf.astype(np.intp), n)
     return rows, cols, np.lexsort((rows, rows != cols))[:n]  # diagonal, by i

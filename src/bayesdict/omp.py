@@ -60,6 +60,7 @@ replaced (20.3 MiB).
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -80,9 +81,13 @@ class OmpStop:
     def __post_init__(self):
         if self.max_sparsity is None and self.residual_threshold is None:
             raise ValueError("OmpStop needs max_sparsity or residual_threshold")
-        if self.max_sparsity is not None and self.max_sparsity < 1:
+        if self.max_sparsity is not None and not (
+                isinstance(self.max_sparsity, Integral)
+                and self.max_sparsity >= 1):
             raise ValueError("max_sparsity must be a positive integer")
-        if self.residual_threshold is not None and self.residual_threshold < 0:
+        # written as not >= so that nan is rejected too
+        if self.residual_threshold is not None \
+                and not self.residual_threshold >= 0:
             raise ValueError("residual_threshold must be >= 0")
 
 

@@ -36,8 +36,6 @@ dict_row_cov holds.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpftrf, dpftri, dpftrs
-from scipy.special import digamma, gammaln
 
 from .errors import NegativeResidual, NonFinite, SingularPrecision
 from .linalg import _rfp_layout, _rfp_unpack, spd_factor, spd_logdet
@@ -140,6 +138,8 @@ def _rfp_inverses(S: np.ndarray, G: np.ndarray, diags: np.ndarray, layout,
     and the factor written back; if that fails too, SingularPrecision is
     raised with label(j) in front.
     """
+    from scipy.linalg.lapack import dpftrf, dpftri, dpftrs
+
     N = G.shape[0]
     rows, cols, diag = layout
     S[:, diag] += diags
@@ -247,6 +247,8 @@ def update_gamma(state: VBState, data: TrainingSet, cfg: ModelConfig) -> None:
 
 
 def _gamma_entropy(shape: float, rate) -> np.ndarray:
+    from scipy.special import digamma, gammaln
+
     return shape - np.log(rate) + gammaln(shape) + (1.0 - shape) * digamma(shape)
 
 
@@ -257,6 +259,8 @@ def compute_elbo(state: VBState, data: TrainingSet, cfg: ModelConfig) -> float:
     additive constant, which is dropped; the remaining terms are still
     monotone under the coordinate updates.
     """
+    from scipy.special import digamma, gammaln
+
     M, L = data.M, data.L
     N = state.dict_mean.shape[1]
     a, b, c, d = cfg.a, cfg.b, cfg.c, cfg.d

@@ -1,8 +1,14 @@
 """End-to-end command behavior: files written, replay identity, errors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bayesdict
 from bayesdict import vb
 from bayesdict.cli import main
 from bayesdict.fileio import load_matrix, load_pgm, save_matrix, save_pgm
@@ -525,6 +531,33 @@ def test_denoise_takes_patch_side_from_dictionary(tmp_path):
     assert run_cli("denoise", "--config", str(cfg), "--out", str(out)) == 0
     assert load_pgm(out / "denoised.pgm").shape == (16, 16)
     assert "patches_coded\t169" in (out / "report.txt").read_text()
+
+
+def test_import_and_denoise_load_no_scipy(tmp_path):
+    """Only the inference engines call scipy, and each imports it inside
+    the function that calls it: importing the package and the CLI and
+    running a denoise in a fresh interpreter leave scipy unloaded."""
+    dict_path = tmp_path / "d.txt"
+    save_matrix(np.random.default_rng(7).standard_normal((16, 24)), dict_path)
+    noisy = tmp_path / "n.pgm"
+    make_image(noisy, q=16)
+    cfg = tmp_path / "den.cfg"
+    cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy}\nsigma = 10\n")
+    probe = (
+        "import sys\n"
+        "import bayesdict, bayesdict.cli\n"
+        f"rc = bayesdict.cli.main(['denoise', '--config', {str(cfg)!r},"
+        f" '--out', {str(tmp_path / 'den')!r}])\n"
+        "assert rc == 0, rc\n"
+        "assert 'scipy' not in sys.modules, sorted(\n"
+        "    m for m in sys.modules if m.startswith('scipy'))[:5]\n")
+    src = str(Path(bayesdict.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "den" / "denoised.pgm").exists()
 
 
 def test_denoise_rejects_non_square_atom_length(tmp_path, capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg.lapack import dtfttr, dtrttf
 
 from bayesdict import (
@@ -201,7 +202,7 @@ def test_sample_codes_names_the_column_dpftrf_rejects(monkeypatch):
     """An RFP factorization failing in the 66th call (column 65, the
     second block's second column) raises SingularPrecision naming it."""
     base, data = fixed_problem(seed=23, M=4, N=6, L=70)
-    real_dpftrf = gibbs.dpftrf
+    real_dpftrf = scipy.linalg.lapack.dpftrf
     calls = []
 
     def failing(*args):
@@ -209,7 +210,7 @@ def test_sample_codes_names_the_column_dpftrf_rejects(monkeypatch):
         calls.append(1)
         return a, 3 if len(calls) == 66 else info
 
-    monkeypatch.setattr(gibbs, "dpftrf", failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", failing)
     with pytest.raises(SingularPrecision, match=r"^column 65: "):
         sample_codes(clone(base), data)
     assert len(calls) == 66

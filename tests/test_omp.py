@@ -24,7 +24,12 @@ def test_stop_rule_validation():
         OmpStop(max_sparsity=0)
     with pytest.raises(ValueError):
         OmpStop(residual_threshold=-1.0)
+    with pytest.raises(ValueError):
+        OmpStop(residual_threshold=float("nan"))
+    with pytest.raises(ValueError):
+        OmpStop(max_sparsity=2.5)
     OmpStop(max_sparsity=3)
+    OmpStop(max_sparsity=np.int64(3))
     OmpStop(residual_threshold=0.0)
     OmpStop(max_sparsity=3, residual_threshold=0.1)
 

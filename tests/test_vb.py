@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from bayesdict import (
     ModelConfig,
@@ -325,7 +326,7 @@ def test_update_codes_names_the_column_dpftri_rejects(monkeypatch):
         calls.append(n)
         return a, 2 if len(calls) == 4 else 0
 
-    monkeypatch.setattr(vb, "dpftri", failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftri", failing)
     with pytest.raises(SingularPrecision, match=r"^column 3: "):
         update_codes(st, data)
 
