@@ -41,7 +41,7 @@ from .metrics import (
 )
 from .model import ModelConfig, TrainingSet
 from .omp import OmpStop, batch_encode, normalize_dictionary
-from .patches import extract_patches, reassemble_image
+from .patches import extract_patches, map_patches
 from .synthetic import SyntheticSpec, generate_synthetic
 from .vb import run_vb
 
@@ -289,6 +289,35 @@ def cmd_train(args) -> int:
                    ["dictionary.txt", "trace.tsv"], t0)
 
 
+def _denoise(noisy, D, threshold, remove_dc):
+    """OMP-code every stride-1 patch of noisy (its mean removed first if
+    remove_dc) and average the rebuilt patches back, one band of patch
+    rows at a time.
+
+    Returns the denoised image and the patches_coded and mean_support
+    metrics.
+    """
+    side = math.isqrt(D.shape[0])
+    Dn, _ = normalize_dictionary(D)
+    stop = OmpStop(residual_threshold=threshold)
+    coded = selected = 0
+
+    def code(patches):
+        nonlocal coded, selected
+        means = patches.mean(axis=0) if remove_dc else 0.0
+        patches -= means
+        codes = batch_encode(Dn, patches, stop)
+        coded += len(codes)
+        selected += int(codes.indptr[-1])
+        rebuilt = codes.reconstruct(Dn)
+        rebuilt += means
+        return rebuilt
+
+    denoised = map_patches(noisy, side, code)
+    return denoised, {"patches_coded": coded,
+                      "mean_support": selected / coded}
+
+
 def cmd_denoise(args) -> int:
     t0 = time.perf_counter()
     resolved = _resolve_config(args, lambda engine, given: _DENOISE_SCHEMA)
@@ -303,23 +332,18 @@ def cmd_denoise(args) -> int:
         raise DimensionMismatch(
             f"denoising expects square patch atoms (p*p rows, 64 for "
             f"8x8 patches), dictionary has {D.shape[0]}")
-    Dn, _ = normalize_dictionary(D)
-    noisy = load_pgm(resolved["input"])
-    patches, grid = extract_patches(noisy, patch_size=side, stride=1)
-    means = patches.mean(axis=0) if resolved["remove_dc"] else 0.0
-    patches -= means
     # the noise norm of a p x p patch is about sigma * p
     threshold = resolved["gain"] * resolved["sigma"] * side
-    codes = batch_encode(Dn, patches, OmpStop(residual_threshold=threshold))
-    denoised_patches = codes.reconstruct(Dn)
-    denoised_patches += means
-    denoised = reassemble_image(denoised_patches, grid)
+    if not math.isfinite(threshold):
+        raise ConfigParseError(
+            f"the OMP threshold gain * sigma * {side} = {threshold} is not "
+            f"finite")
+    noisy = load_pgm(resolved["input"])
+    denoised, metrics = _denoise(noisy, D, threshold, resolved["remove_dc"])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_pgm(denoised, out_dir / "denoised.pgm")
-    metrics = {"patches_coded": len(codes),
-               "mean_support": float(codes.indptr[-1] / len(codes))}
     if resolved["clean"]:
         clean = load_pgm(resolved["clean"])
         metrics["psnr"] = psnr(clean, denoised)

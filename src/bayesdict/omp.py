@@ -49,8 +49,14 @@ the block boundaries fall: `batch_encode(D, Y)[p]` equals
 `omp_encode(D, Y[:, p])` bit for bit, and `omp_encode` is the one-column
 case of the same kernel.
 
-Blocks hold _BLOCK = 256 columns, a trade between per-step Python
-overhead and the size of a block's work arrays. Denoising a 128² image
+A call of P columns is split into max(1, P // _BLOCK) blocks of
+near-equal size, so every block holds _BLOCK = 256 to 511 columns
+(fewer only when P < 256). Each block runs as many steps as its
+longest-coded column needs, so a small leftover block would add a whole
+block's per-step overhead for a few columns; denoising codes its
+patches in bands of ~2000, and with full blocks plus a leftover one each
+band added such a block. The size trades per-step Python overhead
+against the size of a block's work arrays. Denoising a 128² image
 (14 641 patches, 64 x 256 DCT, one BLAS thread, correlations then still
 formed as `Dᵀr`) took 0.57 s with blocks of 128, 0.41 s with 256 and
 0.44-0.46 s with 512 or 1024; the peak traced allocation was 16.4 MiB
@@ -245,9 +251,10 @@ def batch_encode(D: np.ndarray, signals: np.ndarray,
     sizes = np.zeros(P, dtype=np.intp)
     norms = np.zeros(P)
     indices, coeffs = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    for lo in range(0, P, _BLOCK):
-        Y = np.ascontiguousarray(signals[:, lo:lo + _BLOCK].T)
-        hi = lo + len(Y)
+    blocks = max(1, P // _BLOCK)
+    for b in range(blocks):
+        lo, hi = P * b // blocks, P * (b + 1) // blocks
+        Y = np.ascontiguousarray(signals[:, lo:hi].T)
         sizes[lo:hi], sup, coef, norms[lo:hi] = _encode_block(
             Dn, G, Y, stop.residual_threshold, cap)
         kept = np.arange(cap) < sizes[lo:hi, None]

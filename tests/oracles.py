@@ -4,7 +4,9 @@ Everything here is deliberately written the dumb way: dense inverses via
 numpy.linalg.inv, residuals recomputed from scratch, expectations by
 Monte Carlo or numerical quadrature through scipy.stats. None of it
 shares code with the package, so agreement is evidence rather than
-tautology.
+tautology. The one exception is denoise_whole_image, which composes the
+package's own pieces over the whole image to check how denoising splits
+the image into bands.
 """
 
 import numpy as np
@@ -12,6 +14,9 @@ import scipy.linalg
 from scipy import stats
 from scipy.linalg.lapack import dpotrf, dppsv, dtrtri
 from scipy.special import gammaln
+
+from bayesdict.omp import OmpStop, batch_encode, normalize_dictionary
+from bayesdict.patches import extract_patches, reassemble_image
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +398,29 @@ def omp_residual_form(D, Y, max_sparsity=None, residual_threshold=None):
         if thr is not None:
             act = act[norms[act] > thr]
     return sizes, sup, coef, norms
+
+
+def denoise_whole_image(noisy, D, threshold, remove_dc):
+    """The denoise pipeline over the whole stride-1 grid at once, as
+    `cli.cmd_denoise` ran it before it coded one band of patch rows at a
+    time: extract every patch, remove the means if remove_dc, code all
+    patches in one batch_encode call, rebuild them and reassemble.
+
+    It is built from the package's own pieces, so it checks the banding,
+    not the pieces. Returns the denoised image and the patches_coded and
+    mean_support metrics.
+    """
+    side = int(np.sqrt(D.shape[0]))
+    Dn, _ = normalize_dictionary(D)
+    patches, grid = extract_patches(noisy, patch_size=side, stride=1)
+    means = patches.mean(axis=0) if remove_dc else 0.0
+    patches -= means
+    codes = batch_encode(Dn, patches, OmpStop(residual_threshold=threshold))
+    rebuilt = codes.reconstruct(Dn)
+    rebuilt += means
+    return reassemble_image(rebuilt, grid), {
+        "patches_coded": len(codes),
+        "mean_support": float(codes.indptr[-1] / len(codes))}
 
 
 def mean_se(samples):

@@ -1,19 +1,22 @@
 """End-to-end command behavior: files written, replay identity, errors."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bayesdict
-from bayesdict import vb
+from bayesdict import cli, patches, vb
 from bayesdict.cli import main
 from bayesdict.fileio import load_matrix, load_pgm, save_matrix, save_pgm
 from bayesdict.synthetic import SyntheticSpec, generate_synthetic
 import bench_inputs
+import oracles
 
 
 def run_cli(*argv):
@@ -592,6 +595,89 @@ def test_denoise_rejects_non_finite_dictionary(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "dictionary" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("sigma, gain", [("inf", "1.15"), ("25", "inf"),
+                                         ("1e308", "10")])
+def test_denoise_rejects_non_finite_threshold(tmp_path, capsys, sigma, gain):
+    """An infinite OMP threshold (1e308 * 10 * 4 overflows to inf) would
+    code every patch with no atom and write the patch-mean image."""
+    dict_path = tmp_path / "d.txt"
+    save_matrix(np.random.default_rng(8).standard_normal((16, 32)),
+                dict_path)
+    noisy = tmp_path / "n.pgm"
+    make_image(noisy, q=16)
+    cfg = tmp_path / "den.cfg"
+    cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy}\n")
+    rc = run_cli("denoise", "--config", str(cfg), "--sigma", sigma,
+                 "--gain", gain, "--out", str(tmp_path / "x"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert not (tmp_path / "x").exists()
+
+
+def atoms_4x4():
+    """A 16 x 36 dictionary for 4 x 4 patches: the separable 2-D DCT-II
+    of 6 frequencies per axis, as the 64 x 256 one is built."""
+    k = np.arange(6)[None, :]
+    A = np.cos(np.arange(4)[:, None] * k * np.pi / 6)
+    A[:, 1:] -= A[:, 1:].mean(axis=0)
+    A /= np.linalg.norm(A, axis=0)
+    return np.kron(A, A)
+
+
+@pytest.mark.parametrize("side, atoms, remove_dc, band", [
+    (128, "dct", False, 2048), (128, "dct", True, 2048),
+    (100, "dct", False, 2048), (100, "dct", True, 2048),
+    (38, "dct", False, 2048), (38, "dct", True, 2048),
+    (100, "4x4", False, 2048), (38, "4x4", True, 2048),
+    (24, "dct", False, 1), (24, "dct", True, 1),
+])
+def test_banded_denoise_matches_whole_image_oracle(monkeypatch, side, atoms,
+                                                   remove_dc, band):
+    """Coding one band of patch rows at a time gives the whole-grid
+    pipeline's image, patches_coded and mean_support bit for bit. 128 and
+    100 take several bands, 100 ending in a short one (93 patch rows at
+    8 x 8, 97 at 4 x 4); 38 fits in one band; a band of one patch still
+    holds a whole patch row."""
+    monkeypatch.setattr(patches, "_BAND_PATCHES", band)
+    D = bench_inputs.overcomplete_dct() if atoms == "dct" else atoms_4x4()
+    p = math.isqrt(D.shape[0])
+    noisy = bench_inputs.noisy_image(bench_inputs.clean_image(side, seed=3),
+                                     25.0, seed=3)
+    threshold = 1.15 * 25.0 * p
+    bands = []
+    encode = cli.batch_encode
+    monkeypatch.setattr(cli, "batch_encode", lambda D, Y, stop: (
+        bands.append(Y.shape[1]) or encode(D, Y, stop)))
+    image, metrics = cli._denoise(noisy, D, threshold, remove_dc)
+    ref_image, ref_metrics = oracles.denoise_whole_image(noisy, D, threshold,
+                                                         remove_dc)
+    np.testing.assert_array_equal(image, ref_image)
+    assert metrics == ref_metrics
+    n = side - p + 1
+    rows = max(1, band // n)
+    assert bands == [rows * n] * (n // rows) + [n % rows * n] * (n % rows > 0)
+
+
+def test_denoise_memory_is_set_by_the_band_not_the_image():
+    """Denoising a 256 x 256 image: its 62 001 stride-1 patches would take
+    31.7 MB as one matrix, as much again rebuilt. Measured peak traced
+    allocation with bands of 2048 patches: 7.2 MiB, against 67.8 MiB for
+    the whole-grid oracle."""
+    D = bench_inputs.overcomplete_dct()
+    noisy = bench_inputs.noisy_image(bench_inputs.clean_image(256, seed=5),
+                                     25.0, seed=5)
+    tracemalloc.start()
+    try:
+        image, metrics = cli._denoise(noisy, D, 230.0, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert image.shape == (256, 256)
+    assert metrics["patches_coded"] == 249 ** 2
 
 
 def test_denoise_help_lists_only_denoise_flags(capsys):

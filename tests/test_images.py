@@ -13,6 +13,7 @@ from bayesdict.errors import (
     UnsupportedMaxval,
 )
 from bayesdict.fileio import load_matrix, load_pgm, save_matrix, save_pgm
+from bayesdict.patches import map_patches
 
 
 def gradient_image(q):
@@ -122,6 +123,26 @@ def test_dense_grid_interior_coverage_and_constant_average():
             col += 1
     np.testing.assert_allclose(reassemble_image(indexed, grid),
                                np.clip(acc / counts, 0, 255), atol=1e-12)
+
+
+def test_map_patches_of_the_identity_returns_the_image(monkeypatch):
+    """Bands of two 4 x 4 patch rows over 17 rows, the last band one row,
+    give back the image as reassembling the whole grid does."""
+    monkeypatch.setattr("bayesdict.patches._BAND_PATCHES", 35)
+    img = np.random.default_rng(3).uniform(0.0, 255.0, (20, 20))
+    bands = []
+    out = map_patches(img, 4, lambda band: bands.append(band.shape) or band)
+    assert bands == [(16, 34)] * 8 + [(16, 17)]
+    whole, grid = extract_patches(img, patch_size=4, stride=1)
+    np.testing.assert_array_equal(out, reassemble_image(whole, grid))
+    np.testing.assert_allclose(out, img, rtol=0, atol=1e-12)
+
+
+def test_map_patches_rejects_a_band_of_the_wrong_shape():
+    with pytest.raises(ShapeMismatch):
+        map_patches(np.zeros((10, 10)), 4, lambda band: band[:, :-1])
+    with pytest.raises(ImageTooSmall):
+        map_patches(np.zeros((3, 3)), 4, lambda band: band)
 
 
 def test_reassemble_clamps_to_pixel_range():
