@@ -29,7 +29,12 @@ from .config import (
     render_config,
     resolve,
 )
-from .errors import BayesdictError, ConfigParseError, DimensionMismatch
+from .errors import (
+    BayesdictError,
+    ConfigParseError,
+    DimensionMismatch,
+    ShapeMismatch,
+)
 from .fileio import load_matrix, load_pgm, save_matrix, save_pgm
 from .gibbs import estimate_dictionary, run_gibbs
 from .metrics import (
@@ -339,13 +344,17 @@ def cmd_denoise(args) -> int:
             f"the OMP threshold gain * sigma * {side} = {threshold} is not "
             f"finite")
     noisy = load_pgm(resolved["input"])
+    # a bad reference fails here, before any coding or writing
+    clean = load_pgm(resolved["clean"]) if resolved["clean"] else None
+    if clean is not None and clean.shape != noisy.shape:
+        raise ShapeMismatch(
+            f"--clean image is {clean.shape}, input is {noisy.shape}")
     denoised, metrics = _denoise(noisy, D, threshold, resolved["remove_dc"])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_pgm(denoised, out_dir / "denoised.pgm")
-    if resolved["clean"]:
-        clean = load_pgm(resolved["clean"])
+    if clean is not None:
         metrics["psnr"] = psnr(clean, denoised)
         metrics["psnr_noisy"] = psnr(clean, noisy)
         metrics["psnr_conventional"] = psnr_conventional(clean, denoised)

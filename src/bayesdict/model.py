@@ -102,6 +102,11 @@ class VBState:
     alpha_shape     : scalar Gamma shape shared by all alpha_nl posteriors.
     alpha_rates     : (N, L) per-coefficient Gamma rates.
     gamma_shape, gamma_rate : noise-precision Gamma posterior.
+
+    The updates write into the arrays already here: update_codes into
+    code_means and code_vars, update_alpha into alpha_rates and the
+    atomwise dictionary update into dict_mean. A caller that keeps one
+    of them across an update must copy it first.
     """
 
     code_means: np.ndarray
@@ -118,7 +123,12 @@ class VBState:
 
 @dataclass
 class GibbsState:
-    """One concrete sample of (X, D, alpha, gamma) plus the chain RNG."""
+    """One concrete sample of (X, D, alpha, gamma) plus the chain RNG.
+
+    The samplers overwrite X, D and alpha in place (sample_codes,
+    sample_atoms, sample_alpha), so a caller that keeps one of them
+    across a draw must copy it first.
+    """
 
     X: np.ndarray
     D: np.ndarray

@@ -75,7 +75,9 @@ class VBMoments:
 
 def code_second_moments(state: VBState) -> np.ndarray:
     """<x_nl^2> = mu_nl^2 + Sigma_l[n,n], as an (N, L) matrix."""
-    return state.code_means ** 2 + state.code_vars
+    x_sq = np.square(state.code_means)
+    x_sq += state.code_vars
+    return x_sq
 
 
 def _dtd(state: VBState) -> np.ndarray:
@@ -114,14 +116,16 @@ def expected_residual(state: VBState, data: TrainingSet) -> float:
     materially negative value means the moments are inconsistent.
     """
     D, X = state.dict_mean, state.code_means
-    fit = data.Y - D @ X
-    resid = (float(np.sum(fit * fit))
+    fit = D @ X  # becomes Y - <D><X>, then its square, in place
+    np.subtract(data.Y, fit, out=fit)
+    resid = (float(np.sum(np.square(fit, out=fit)))
              + float(np.sum(_dtd(state) * _x_outer(state)))
              - float(np.sum((D.T @ D) * (X @ X.T))))
-    floor = -1e-8 * float(np.sum(data.Y ** 2))
-    if resid < floor:
-        raise NegativeResidual(
-            f"expected residual {resid:.6e} below tolerance {floor:.6e}")
+    if resid < 0.0:
+        floor = -1e-8 * float(np.sum(data.Y ** 2))
+        if resid < floor:
+            raise NegativeResidual(
+                f"expected residual {resid:.6e} below tolerance {floor:.6e}")
     return max(resid, 0.0)
 
 
@@ -174,7 +178,6 @@ def update_codes(state: VBState, data: TrainingSet) -> int:
     columns whose precision took spd_factor's jitter path.
     """
     gamma_mean = state.gamma_shape / state.gamma_rate
-    alpha_mean = state.alpha_shape / state.alpha_rates
     G = gamma_mean * _dtd(state)
     mu = gamma_mean * (data.Y.T @ state.dict_mean)  # solved row by row
     layout = rows, cols, diag = _rfp_layout(G.shape[0])
@@ -187,7 +190,8 @@ def update_codes(state: VBState, data: TrainingSet) -> int:
         block = slice(l0, min(l0 + _BLOCK, data.L))
         S = stack[:block.stop - l0]
         S[:] = packed
-        count, logdet = _rfp_inverses(S, G, alpha_mean[:, block].T, layout,
+        alpha_mean = state.alpha_shape / state.alpha_rates[:, block]
+        count, logdet = _rfp_inverses(S, G, alpha_mean.T, layout,
                                       lambda j: f"column {l0 + j}", mu[block])
         fallbacks += count
         logdet_sum -= logdet
@@ -237,8 +241,17 @@ def update_dictionary_atomwise(state: VBState, data: TrainingSet,
 
 
 def update_alpha(state: VBState, cfg: ModelConfig) -> None:
+    """q(alpha_nl) = Gamma(a + 1/2, b + <x_nl^2> / 2).
+
+    Writes the rates into state.alpha_rates in place, so a caller that
+    keeps the old array across this call must copy it first.
+    """
     state.alpha_shape = cfg.a + 0.5
-    state.alpha_rates = cfg.b + 0.5 * code_second_moments(state)
+    rates = state.alpha_rates
+    np.square(state.code_means, out=rates)
+    rates += state.code_vars
+    rates *= 0.5
+    rates += cfg.b
 
 
 def update_gamma(state: VBState, data: TrainingSet, cfg: ModelConfig) -> None:
@@ -267,16 +280,24 @@ def compute_elbo(state: VBState, data: TrainingSet, cfg: ModelConfig) -> float:
 
     e_ln_gamma = float(digamma(state.gamma_shape) - np.log(state.gamma_rate))
     e_gamma = state.gamma_shape / state.gamma_rate
-    e_ln_alpha = digamma(state.alpha_shape) - np.log(state.alpha_rates)
-    e_alpha = state.alpha_shape / state.alpha_rates
-    x_sq = code_second_moments(state)
-
     lik = 0.5 * M * L * (e_ln_gamma - LN_2PI) \
         - 0.5 * e_gamma * expected_residual(state, data)
-    lp_x = 0.5 * float(np.sum(e_ln_alpha)) - 0.5 * N * L * LN_2PI \
-        - 0.5 * float(np.sum(e_alpha * x_sq))
+
+    # one N x L buffer holds in turn ln rates, E[ln alpha], <alpha> and
+    # <alpha> <x^2>; only the sums over the whole array are kept
+    buf = np.log(state.alpha_rates)
+    sum_ln_rates = float(np.sum(buf))
+    np.subtract(digamma(state.alpha_shape), buf, out=buf)
+    sum_e_ln_alpha = float(np.sum(buf))
+    np.divide(state.alpha_shape, state.alpha_rates, out=buf)
+    sum_e_alpha = float(np.sum(buf))
+    buf *= code_second_moments(state)
+    sum_e_alpha_x_sq = float(np.sum(buf))
+
+    lp_x = 0.5 * sum_e_ln_alpha - 0.5 * N * L * LN_2PI \
+        - 0.5 * sum_e_alpha_x_sq
     lp_alpha = N * L * (a * np.log(b) - gammaln(a)) \
-        + (a - 1.0) * float(np.sum(e_ln_alpha)) - b * float(np.sum(e_alpha))
+        + (a - 1.0) * sum_e_ln_alpha - b * sum_e_alpha
     if np.isfinite(cfg.beta):
         tr_dtd = float(np.sum(state.dict_mean ** 2)) \
             + M * float(np.trace(state.dict_row_cov))
@@ -290,7 +311,7 @@ def compute_elbo(state: VBState, data: TrainingSet, cfg: ModelConfig) -> float:
     h_x = 0.5 * N * L * (1.0 + LN_2PI) + 0.5 * state.code_logdet_sum
     h_d = 0.5 * M * N * (1.0 + LN_2PI) + 0.5 * M * spd_logdet(state.dict_row_cov)
     h_alpha = N * L * float(_gamma_entropy(state.alpha_shape, 1.0)) \
-        - float(np.sum(np.log(state.alpha_rates)))
+        - sum_ln_rates
     h_gamma = float(_gamma_entropy(state.gamma_shape, state.gamma_rate))
 
     elbo = lik + lp_x + lp_alpha + lp_d + lp_gamma \

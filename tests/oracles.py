@@ -4,9 +4,12 @@ Everything here is deliberately written the dumb way: dense inverses via
 numpy.linalg.inv, residuals recomputed from scratch, expectations by
 Monte Carlo or numerical quadrature through scipy.stats. None of it
 shares code with the package, so agreement is evidence rather than
-tautology. The one exception is denoise_whole_image, which composes the
-package's own pieces over the whole image to check how denoising splits
-the image into bands.
+tautology. Two exceptions: denoise_whole_image composes the package's
+own pieces over the whole image to check how denoising splits the image
+into bands, and the *_allocating functions are the engines' per-sweep
+alpha, gamma and ELBO steps as they were written before they updated
+the state's arrays in place, kept to check the in-place forms bit for
+bit; they call the package's unchanged helpers.
 """
 
 import numpy as np
@@ -15,8 +18,10 @@ from scipy import stats
 from scipy.linalg.lapack import dpotrf, dppsv, dtrtri
 from scipy.special import gammaln
 
+from bayesdict.linalg import spd_logdet
 from bayesdict.omp import OmpStop, batch_encode, normalize_dictionary
 from bayesdict.patches import extract_patches, reassemble_image
+from bayesdict.vb import LN_2PI, _dtd, _gamma_entropy, _x_outer
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +426,92 @@ def denoise_whole_image(noisy, D, threshold, remove_dc):
     return reassemble_image(rebuilt, grid), {
         "patches_coded": len(codes),
         "mean_support": float(codes.indptr[-1] / len(codes))}
+
+
+# ---------------------------------------------------------------------------
+# allocating forms of the engines' per-sweep N x L steps
+
+
+def sample_alpha_allocating(state, cfg):
+    """gibbs.sample_alpha with a fresh N x L scale and one N x L draw."""
+    scale = np.square(state.X)
+    scale *= 0.5
+    scale += cfg.b
+    np.reciprocal(scale, out=scale)
+    draws = state.rng.standard_gamma(cfg.a + 0.5, scale.shape)
+    draws *= scale
+    state.alpha = np.maximum(draws, np.finfo(np.float64).tiny, out=draws)
+
+
+def sample_gamma_allocating(state, data, cfg):
+    """gibbs.sample_gamma forming DX, Y - DX and its square apart."""
+    resid = data.Y - state.D @ state.X
+    sq_resid = float(np.sum(resid * resid))
+    shape = cfg.c + data.M * data.L / 2.0
+    rate = cfg.d + 0.5 * sq_resid
+    state.gamma = max(float(state.rng.gamma(shape, 1.0 / rate)),
+                      float(np.finfo(np.float64).tiny))
+    return sq_resid
+
+
+def update_alpha_allocating(state, cfg):
+    """vb.update_alpha binding a new rates array."""
+    state.alpha_shape = cfg.a + 0.5
+    state.alpha_rates = cfg.b + 0.5 * (state.code_means ** 2
+                                       + state.code_vars)
+
+
+def expected_residual_allocating(state, data):
+    """vb.expected_residual forming DX, Y - DX and its square apart."""
+    D, X = state.dict_mean, state.code_means
+    fit = data.Y - D @ X
+    resid = (float(np.sum(fit * fit))
+             + float(np.sum(_dtd(state) * _x_outer(state)))
+             - float(np.sum((D.T @ D) * (X @ X.T))))
+    floor = -1e-8 * float(np.sum(data.Y ** 2))
+    assert resid >= floor
+    return max(resid, 0.0)
+
+
+def compute_elbo_allocating(state, data, cfg):
+    """vb.compute_elbo with E[ln alpha], <alpha>, <x^2> and their product
+    each a fresh N x L array, and ln rates taken twice."""
+    from scipy.special import digamma
+
+    M, L = data.M, data.L
+    N = state.dict_mean.shape[1]
+    a, b, c, d = cfg.a, cfg.b, cfg.c, cfg.d
+
+    e_ln_gamma = float(digamma(state.gamma_shape) - np.log(state.gamma_rate))
+    e_gamma = state.gamma_shape / state.gamma_rate
+    e_ln_alpha = digamma(state.alpha_shape) - np.log(state.alpha_rates)
+    e_alpha = state.alpha_shape / state.alpha_rates
+    x_sq = state.code_means ** 2 + state.code_vars
+
+    lik = 0.5 * M * L * (e_ln_gamma - LN_2PI) \
+        - 0.5 * e_gamma * expected_residual_allocating(state, data)
+    lp_x = 0.5 * float(np.sum(e_ln_alpha)) - 0.5 * N * L * LN_2PI \
+        - 0.5 * float(np.sum(e_alpha * x_sq))
+    lp_alpha = N * L * (a * np.log(b) - gammaln(a)) \
+        + (a - 1.0) * float(np.sum(e_ln_alpha)) - b * float(np.sum(e_alpha))
+    if np.isfinite(cfg.beta):
+        tr_dtd = float(np.sum(state.dict_mean ** 2)) \
+            + M * float(np.trace(state.dict_row_cov))
+        lp_d = -0.5 * M * N * (LN_2PI + np.log(cfg.beta)) \
+            - 0.5 * tr_dtd / cfg.beta
+    else:
+        lp_d = 0.0
+    lp_gamma = c * np.log(d) - gammaln(c) + (c - 1.0) * e_ln_gamma \
+        - d * e_gamma
+
+    h_x = 0.5 * N * L * (1.0 + LN_2PI) + 0.5 * state.code_logdet_sum
+    h_d = 0.5 * M * N * (1.0 + LN_2PI) + 0.5 * M * spd_logdet(state.dict_row_cov)
+    h_alpha = N * L * float(_gamma_entropy(state.alpha_shape, 1.0)) \
+        - float(np.sum(np.log(state.alpha_rates)))
+    h_gamma = float(_gamma_entropy(state.gamma_shape, state.gamma_rate))
+
+    return float(lik + lp_x + lp_alpha + lp_d + lp_gamma
+                 + h_x + h_d + h_alpha + h_gamma)
 
 
 def mean_se(samples):

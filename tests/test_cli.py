@@ -467,6 +467,32 @@ def test_denoise_without_clean_reports_no_psnr(tmp_path):
     assert "psnr" not in report
 
 
+@pytest.mark.parametrize("clean_side, message", [
+    (None, "cannot read"), (12, "--clean image is (12, 12), input is (16, 16)")],
+    ids=["missing", "other-shape"])
+def test_denoise_writes_nothing_on_a_bad_clean_reference(
+        tmp_path, capsys, clean_side, message):
+    """A missing --clean file or one of another shape fails before any
+    patch is coded, so no denoised.pgm is left without its report."""
+    dict_path = tmp_path / "d.txt"
+    save_matrix(np.random.default_rng(8).standard_normal((16, 32)),
+                dict_path)
+    noisy = tmp_path / "n.pgm"
+    make_image(noisy, q=16)
+    clean = tmp_path / "c.pgm"
+    if clean_side is not None:
+        make_image(clean, q=clean_side)
+    cfg = tmp_path / "den.cfg"
+    cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy}\n")
+    out = tmp_path / "x"
+    rc = run_cli("denoise", "--config", str(cfg), "--sigma", "10",
+                 "--clean", str(clean), "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_denoise_rejects_training_flags(tmp_path, capsys):
     for flag, value in (("--engine", "gibbs"), ("--iters", "5"),
                         ("--burn-in", "2"), ("--seed", "1")):

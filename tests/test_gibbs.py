@@ -290,13 +290,7 @@ def test_sample_codes_at_image_scale_stays_compact():
     every system was formed in full from an N x M^2 K. The bound leaves
     ~15% of margin."""
     state, data = fixed_problem(seed=24, M=64, N=256, L=3721)
-    tracemalloc.start()
-    try:
-        sample_codes(state, data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert _traced_peak(lambda: sample_codes(state, data)) < 8 * 2**20
 
 
 def test_sample_codes_pinned_by_huge_alpha():
@@ -449,6 +443,76 @@ def test_sample_alpha_matches_out_of_place_expression():
             rng.gamma(cfg.a + 0.5, 1.0 / (cfg.b + 0.5 * X ** 2)), gibbs._TINY)
         np.testing.assert_array_equal(st.alpha, want)
         assert np.any(want[1] == gibbs._TINY)
+
+
+def _alpha_shapes():
+    """N x L smaller than one chunk, L wider than one chunk (a chunk is
+    one row), and a row count the rows per chunk do not divide."""
+    rows = gibbs._DRAW_CHUNK // 1000
+    return [(40, 300), (3, gibbs._DRAW_CHUNK + 3), (2 * rows + 7, 1000)]
+
+
+@pytest.mark.parametrize("shape", _alpha_shapes(),
+                         ids=["small", "wide-rows", "ragged"])
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.8])
+def test_sample_alpha_matches_allocating_oracle(a, shape):
+    """Bit for bit the one-draw form, and the same stream consumed, at
+    Gamma shapes a + 1/2 below, at and above 1 (three sampler branches).
+    Row 1 at x = 1e154 exercises the clamp."""
+    X = np.random.default_rng(27).standard_normal(shape)
+    X[1] = 1e154
+    cfg = ModelConfig(num_atoms=shape[0], a=a)
+    got, want = (GibbsState(X=X, D=np.zeros((3, shape[0])),
+                            alpha=np.ones_like(X), gamma=1.0,
+                            rng=np.random.default_rng(28)) for _ in range(2))
+    sample_alpha(got, cfg)
+    oracles.sample_alpha_allocating(want, cfg)
+    np.testing.assert_array_equal(got.alpha, want.alpha)
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
+def test_sample_alpha_overwrites_state_array():
+    state, _ = fixed_problem(seed=29, N=3, L=4)
+    alpha = state.alpha
+    sample_alpha(state, ModelConfig(num_atoms=3))
+    assert state.alpha is alpha
+
+
+@pytest.mark.parametrize("seed", [30, 31])
+def test_sample_gamma_matches_allocating_oracle(seed):
+    got, data = fixed_problem(seed=seed, M=7, N=5, L=300)
+    want = clone(got)
+    want.rng = np.random.default_rng(1234)
+    cfg = ModelConfig(num_atoms=5, c=0.9, d=0.2)
+    assert sample_gamma(got, data, cfg) \
+        == oracles.sample_gamma_allocating(want, data, cfg)
+    assert got.gamma == want.gamma
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_alpha_at_image_scale_stays_compact():
+    """64/256/3721: the allocating form peaks at 14.5 MiB traced (an N x L
+    scale and an N x L draw); in place, 0.48 MiB of chunked draws."""
+    state, _ = fixed_problem(seed=24, M=64, N=256, L=3721)
+    assert _traced_peak(
+        lambda: sample_alpha(state, ModelConfig(num_atoms=256))) < 2**20
+
+
+def test_sample_gamma_at_image_scale_holds_one_residual():
+    """64/256/3721: one M x L residual (1.82 MiB), squared in place; the
+    allocating form peaks at twice that."""
+    state, data = fixed_problem(seed=24, M=64, N=256, L=3721)
+    peak = _traced_peak(
+        lambda: sample_gamma(state, data, ModelConfig(num_atoms=256)))
+    assert peak < data.Y.nbytes + 2**16
 
 
 def test_sample_gamma_moments():

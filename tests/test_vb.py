@@ -1,5 +1,8 @@
 """Variational updates against dense, Monte-Carlo, and quadrature oracles."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -461,6 +464,92 @@ def test_update_alpha_default_hyperparameter_arithmetic():
     assert st.alpha_rates[0, 1] == pytest.approx(1.000001, rel=1e-12)
     assert st.alpha_shape / st.alpha_rates[0, 1] == \
         pytest.approx(0.999999, abs=1e-6)
+
+
+def states_along_a_run(variant, beta):
+    """The states after 0-3 sweeps of run_vb's update order at 6/9/40,
+    each a deep copy."""
+    rng = np.random.default_rng(33)
+    data = TrainingSet.from_matrix(rng.standard_normal((6, 40)))
+    cfg = ModelConfig(num_atoms=9, beta=beta, seed=4)
+    st = initialize_vb_state(cfg, data)
+    states = [copy.deepcopy(st)]
+    for _ in range(3):
+        update_codes(st, data)
+        if variant == "full":
+            update_dictionary_full(st, data, cfg.beta)
+        else:
+            update_dictionary_atomwise(st, data, cfg.beta)
+        oracles.update_alpha_allocating(st, cfg)
+        update_gamma(st, data, cfg)
+        states.append(copy.deepcopy(st))
+    return states, data, cfg
+
+
+@pytest.mark.parametrize("beta", [5.0, float("inf")])
+@pytest.mark.parametrize("variant", ["full", "atomwise"])
+def test_in_place_alpha_and_elbo_match_allocating_oracles(variant, beta):
+    states, data, cfg = states_along_a_run(variant, beta)
+    for st in states:
+        assert compute_elbo(st, data, cfg) \
+            == oracles.compute_elbo_allocating(st, data, cfg)
+        assert expected_residual(st, data) \
+            == oracles.expected_residual_allocating(st, data)
+        want = copy.deepcopy(st)
+        rates = st.alpha_rates
+        update_alpha(st, cfg)
+        oracles.update_alpha_allocating(want, cfg)
+        assert st.alpha_rates is rates
+        assert st.alpha_shape == want.alpha_shape
+        np.testing.assert_array_equal(st.alpha_rates, want.alpha_rates)
+
+
+def image_scale_state(seed=34, M=64, N=256, L=3721):
+    """A VB state and data at the image-train shape, without the L x N x N
+    covariance stack random_state reduces from."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((N, N))
+    st = VBState(
+        code_means=rng.standard_normal((N, L)),
+        code_vars=0.1 + rng.random((N, L)),
+        code_cov_sum=A @ A.T + N * np.eye(N),
+        code_logdet_sum=-5.0,
+        dict_mean=rng.standard_normal((M, N)),
+        dict_row_cov=1e-3 * np.eye(N),
+        alpha_shape=1.0,
+        alpha_rates=0.5 + rng.random((N, L)),
+        gamma_shape=M * L / 2.0,
+        gamma_rate=M * L / 2.0,
+    )
+    return st, TrainingSet.from_matrix(rng.standard_normal((M, L)))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_update_alpha_at_image_scale_allocates_no_rates_array():
+    """64/256/3721: the allocating form binds a new 7.3 MiB N x L array;
+    in place, ~100 bytes are traced."""
+    st, _ = image_scale_state()
+    peak = _traced_peak(lambda: update_alpha(st, ModelConfig(num_atoms=256)))
+    assert peak < st.alpha_rates.nbytes // 64
+
+
+def test_compute_elbo_at_image_scale_holds_two_n_by_l_arrays():
+    """64/256/3721: one buffer for ln rates, E[ln alpha], <alpha> and
+    <alpha> <x^2>, plus <x^2>: 14.5 MiB traced, against 29.1 MiB (four
+    N x L arrays) for the allocating form."""
+    st, data = image_scale_state()
+    cfg = ModelConfig(num_atoms=256)
+    import scipy.special  # noqa: F401  (its import is not the bound's)
+    peak = _traced_peak(lambda: compute_elbo(st, data, cfg))
+    assert peak < 2 * st.alpha_rates.nbytes + 2**20
 
 
 def test_update_gamma_closed_form_and_density():
