@@ -35,7 +35,7 @@ from .errors import (
     DimensionMismatch,
     ShapeMismatch,
 )
-from .fileio import load_matrix, load_pgm, save_matrix, save_pgm
+from .fileio import _write, load_matrix, load_pgm, save_matrix, save_pgm
 from .gibbs import estimate_dictionary, run_gibbs
 from .metrics import (
     SUCCESS_THRESHOLD,
@@ -183,7 +183,7 @@ def _fmt_rate(rate: float) -> str:
 
 def _write_tsv(path: Path, rows) -> None:
     """One tab-separated line per row, fields through str()."""
-    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows))
+    _write(path, "".join("\t".join(map(str, row)) + "\n" for row in rows))
 
 
 def _finish(out_dir: Path, resolved: dict, metrics: dict, artifacts: list,
@@ -192,12 +192,12 @@ def _finish(out_dir: Path, resolved: dict, metrics: dict, artifacts: list,
     the wall time since t0."""
     artifacts = [*artifacts, "config_echo.cfg", "report.txt"]
     echo = render_config(resolved)
-    (out_dir / "config_echo.cfg").write_text(echo)
+    _write(out_dir / "config_echo.cfg", echo)
     lines = ["[config]", echo.rstrip("\n"), "", "[metrics]"]
     lines += [f"{key}\t{format_value(value)}"
               for key, value in metrics.items()]
     lines += ["", "[artifacts]", *artifacts]
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    _write(out_dir / "report.txt", "\n".join(lines) + "\n")
     for key, value in metrics.items():
         print(f"{key} = {format_value(value)}")
     print(f"wall_time_seconds = {time.perf_counter() - t0:.3f}")
@@ -212,11 +212,11 @@ def cmd_bench_synthetic(args) -> int:
     engine = resolved["engine"]
     if resolved["trials"] < 1:
         raise ConfigParseError("trials must be >= 1")
+    if resolved["seed"] < 0:
+        raise ConfigParseError("seed must be >= 0")
     if not (resolved["L_grid"] and resolved["snr_grid"] and resolved["k_grid"]):
         raise ConfigParseError("L_grid, snr_grid, and k_grid must be non-empty")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = [("engine", "L", "snr_db", "K", "trials", "completed",
               "mean_success_rate")]
     per_trial = [("engine", "L", "snr_db", "K", "trial", "seed", "status",
@@ -242,6 +242,7 @@ def cmd_bench_synthetic(args) -> int:
         mean = float(np.mean(rates)) if rates else float("nan")
         table.append((*cell, resolved["trials"], len(rates), _fmt_rate(mean)))
         all_rates.extend(rates)
+    out_dir = Path(args.out)
     _write_tsv(out_dir / "bench_table.tsv", table)
     _write_tsv(out_dir / "bench_trials.tsv", per_trial)
 
@@ -281,9 +282,8 @@ def cmd_train(args) -> int:
     data = TrainingSet.from_matrix(Y)
     mcfg = _model_config(resolved, resolved["seed"])
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     D, columns, metrics = _fit(resolved["engine"], mcfg, data)
+    out_dir = Path(args.out)
     _write_tsv(out_dir / "trace.tsv",
                [("iter", *columns)]
                + [(i, *map(repr, row)) for i, row
@@ -337,6 +337,9 @@ def cmd_denoise(args) -> int:
         raise DimensionMismatch(
             f"denoising expects square patch atoms (p*p rows, 64 for "
             f"8x8 patches), dictionary has {D.shape[0]}")
+    if not D.any():  # OMP would code every patch with no atom
+        raise DimensionMismatch(
+            f"dictionary has no nonzero atom ({D.shape[0]}x{D.shape[1]})")
     # the noise norm of a p x p patch is about sigma * p
     threshold = resolved["gain"] * resolved["sigma"] * side
     if not math.isfinite(threshold):
@@ -350,9 +353,7 @@ def cmd_denoise(args) -> int:
         raise ShapeMismatch(
             f"--clean image is {clean.shape}, input is {noisy.shape}")
     denoised, metrics = _denoise(noisy, D, threshold, resolved["remove_dc"])
-
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_pgm(denoised, out_dir / "denoised.pgm")
     if clean is not None:
         metrics["psnr"] = psnr(clean, denoised)

@@ -2,7 +2,8 @@
 
 One key per line, # comments and blank lines allowed, no nesting.
 Every command has a fixed key schema; unknown keys and type errors are
-reported with file/line diagnostics. Values are formatted so that
+reported with file/line diagnostics; a file that cannot be read or
+decoded raises fileio's IoFailure. Values are formatted so that
 parse(format(x)) == x, which is what makes echoed configs replayable
 byte for byte.
 """
@@ -10,15 +11,11 @@ byte for byte.
 import math
 
 from .errors import ConfigParseError
+from .fileio import _read
 
 
 def parse_config_file(path) -> dict:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(_read(path), source=str(path))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

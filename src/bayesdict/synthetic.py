@@ -60,6 +60,8 @@ def generate_synthetic(spec: SyntheticSpec):
         if getattr(spec, name) < 1:
             raise NonPositiveHyperparameter(name, getattr(spec, name),
                                             "a positive integer")
+    if spec.seed < 0:
+        raise NonPositiveHyperparameter("seed", spec.seed, "non-negative")
     rng = np.random.default_rng(spec.seed)
     D = rng.standard_normal((spec.M, spec.N))
     D /= np.linalg.norm(D, axis=0)

@@ -1,5 +1,6 @@
 """End-to-end command behavior: files written, replay identity, errors."""
 
+import ast
 import math
 import os
 import subprocess
@@ -239,6 +240,37 @@ def test_bench_unknown_engine(tmp_path, capsys):
     assert "engine" in capsys.readouterr().err
 
 
+def test_bench_rejects_negative_seed(tmp_path, capsys):
+    """Caught before any trial, as train catches it: no raw ValueError
+    from numpy's generator, and nothing written."""
+    cfg = tmp_path / "bench.cfg"
+    write_bench_cfg(cfg)
+    rc = run_cli("bench-synthetic", "--config", str(cfg), "--seed", "-1",
+                 "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("bench-synthetic", ("--config", "trials0.cfg"), "trials must be >= 1"),
+    ("denoise", ("--config", "den.cfg", "--sigma", "-1"),
+     "sigma must be >= 0"),
+    ("denoise", ("--config", "den.cfg", "--sigma", "10", "--gain", "0"),
+     "gain must be > 0"),
+])
+def test_out_of_range_settings_are_rejected(tmp_path, capsys, command, argv,
+                                            message):
+    """Each is caught before any file is read or written."""
+    (tmp_path / "trials0.cfg").write_text("trials = 0\n")
+    (tmp_path / "den.cfg").write_text("dictionary = d.txt\ninput = n.pgm\n")
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    rc = run_cli(command, *argv, "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -402,6 +434,42 @@ def test_train_trace_parses_when_gamma_is_clamped(tmp_path):
     assert len(rows) == 3
     assert all(float(field) >= 0 for row in rows for field in row)
     assert {float(row[2]) for row in rows} == {np.finfo(np.float64).tiny}
+
+
+def test_train_with_a_diverged_chain_writes_nothing(tmp_path, monkeypatch,
+                                                    capsys):
+    from bayesdict import gibbs
+
+    def nan_gamma(state, data, cfg):
+        state.gamma = float("nan")
+
+    monkeypatch.setattr(gibbs, "sample_gamma", nan_gamma)
+    data_path = make_matrix_input(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {data_path}\nnum_atoms = 10\niters = 4\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_train_remove_dc_trains_on_the_centred_matrix(tmp_path):
+    """remove_dc = true gives, byte for byte, the dictionary that
+    remove_dc = false gives on the column-centred matrix saved to a file."""
+    data_path = make_matrix_input(tmp_path)
+    Y = load_matrix(data_path)
+    centred = tmp_path / "centred.txt"
+    save_matrix(Y - Y.mean(axis=0, keepdims=True), centred)
+    dictionaries = []
+    for name, path, remove_dc in (("dc", data_path, "true"),
+                                  ("ref", centred, "false")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"input = {path}\nnum_atoms = 10\niters = 6\n"
+                       f"remove_dc = {remove_dc}\n")
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / name)) == 0
+        dictionaries.append((tmp_path / name / "dictionary.txt").read_bytes())
+    assert dictionaries[0] == dictionaries[1]
 
 
 @pytest.mark.parametrize("engine", ["vb-full", "vb-atomwise"])
@@ -589,6 +657,85 @@ def test_import_and_denoise_load_no_scipy(tmp_path):
     assert (tmp_path / "den" / "denoised.pgm").exists()
 
 
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes",
+              "mkdir"}
+
+
+def test_only_fileio_touches_the_file_system():
+    """fileio._read and fileio._write are the package's one file
+    boundary: no other module opens, reads, writes or makes a file or
+    directory itself, so every I/O failure becomes an IoFailure."""
+    package = Path(bayesdict.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "fileio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) \
+                    else getattr(func, "attr", None)
+                if name in FILE_CALLS:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
+def unreadable_inputs(tmp_path):
+    """A PGM in each of the three places that take a text file."""
+    pgm = tmp_path / "x.PGM"
+    save_pgm(np.full((16, 16), 255.0), pgm)  # 0xff never starts UTF-8
+    noisy = tmp_path / "n.pgm"
+    make_image(noisy, q=16)
+    den = tmp_path / "den.cfg"
+    den.write_text(f"dictionary = {pgm}\ninput = {noisy}\nsigma = 10\n")
+    train = tmp_path / "train.cfg"
+    train.write_text(f"input = {pgm}\nnum_atoms = 4\niters = 2\n")
+    return {"denoise-dictionary": ("denoise", "--config", str(den)),
+            "train-input": ("train", "--config", str(train)),
+            "config": ("train", "--config", str(pgm))}
+
+
+@pytest.mark.parametrize("case", ["denoise-dictionary", "train-input",
+                                  "config"])
+def test_a_file_that_does_not_decode_is_an_io_failure(tmp_path, capsys,
+                                                      case):
+    argv = unreadable_inputs(tmp_path)[case]
+    rc = run_cli(*argv, "--out", str(tmp_path / "x"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and "x.PGM" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["bench-synthetic", "train", "denoise"])
+def test_an_out_that_names_a_file_is_an_io_failure(tmp_path, capsys,
+                                                   command):
+    if command == "bench-synthetic":
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("M = 2\nnum_atoms = 2\nL_grid = 4\nk_grid = 1\n"
+                       "trials = 1\niters = 2\n")
+    elif command == "train":
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"input = {make_matrix_input(tmp_path)}\n"
+                       "num_atoms = 4\niters = 2\n")
+    else:
+        dict_path = tmp_path / "d.txt"
+        save_matrix(np.random.default_rng(8).standard_normal((16, 32)),
+                    dict_path)
+        noisy = tmp_path / "n.pgm"
+        make_image(noisy, q=16)
+        cfg = tmp_path / "den.cfg"
+        cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy}\n"
+                       "sigma = 10\n")
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    rc = run_cli(command, "--config", str(cfg), "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}/")
+    assert out.read_text() == "a file, not a directory\n"
+
+
 def test_denoise_rejects_non_square_atom_length(tmp_path, capsys):
     dict_path = tmp_path / "d.txt"
     save_matrix(np.random.default_rng(7).standard_normal((48, 10)),
@@ -602,6 +749,25 @@ def test_denoise_rejects_non_square_atom_length(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "has 48" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("D", [np.zeros((16, 0)), np.zeros((16, 5))],
+                         ids=["no-atoms", "all-zero"])
+def test_denoise_rejects_a_dictionary_with_no_nonzero_atom(tmp_path, capsys,
+                                                           D):
+    """Coding every patch with no atom would write a black image."""
+    dict_path = tmp_path / "d.txt"
+    save_matrix(D, dict_path)
+    noisy = tmp_path / "n.pgm"
+    make_image(noisy, q=16)
+    cfg = tmp_path / "den.cfg"
+    cfg.write_text(f"dictionary = {dict_path}\ninput = {noisy}\n"
+                   "sigma = 10\n")
+    rc = run_cli("denoise", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: dictionary has no nonzero atom")
     assert not (tmp_path / "x").exists()
 
 

@@ -1,5 +1,7 @@
 """Patch grids, reassembly, and the PGM / text-matrix file formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bayesdict import extract_patches, reassemble_image
 from bayesdict.errors import (
     CoverageGap,
     ImageTooSmall,
+    IoFailure,
     MalformedHeader,
     NonPositiveHyperparameter,
     ShapeMismatch,
@@ -260,6 +263,14 @@ def test_pgm_rejections(tmp_path):
         load_pgm(path)
 
 
+def test_pgm_comment_running_to_end_of_file_ends_header_early(tmp_path):
+    """A header cut off inside a comment has no token to give."""
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(b"P5\n2 2 # 255")
+    with pytest.raises(MalformedHeader, match="ended early"):
+        load_pgm(path)
+
+
 def test_save_pgm_rejects_non_2d(tmp_path):
     with pytest.raises(MalformedHeader):
         save_pgm(np.zeros(4), tmp_path / "x.pgm")
@@ -288,6 +299,20 @@ def test_matrix_empty_dimensions(tmp_path):
     assert back.shape == (0, 4)
 
 
+def test_save_matrix_streams_row_by_row(tmp_path):
+    """The 1.6 MB of text of a 32 x 2000 matrix never sits in memory at
+    once: save_matrix hands np.savetxt the open file."""
+    A = np.random.default_rng(3).standard_normal((32, 2000))
+    tracemalloc.start()
+    try:
+        save_matrix(A, tmp_path / "big.txt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    np.testing.assert_array_equal(load_matrix(tmp_path / "big.txt"), A)
+
+
 def test_matrix_malformed_inputs(tmp_path):
     path = tmp_path / "bad.txt"
     cases = [
@@ -297,8 +322,36 @@ def test_matrix_malformed_inputs(tmp_path):
         "2 2\n1 2\n",              # missing row
         "2 2\n1 2\n3 x\n",         # bad value
         "-1 2\n",                  # negative dims
+        "2 2\n1 2\n3 # 4\n",      # a comment is not a value
+        "1 2\n1_0 2\n",            # float() takes it, the format does not
     ]
     for text in cases:
         path.write_text(text)
         with pytest.raises(MalformedHeader):
             load_matrix(path)
+
+
+# ---------------------------------------------------------------------------
+# the file boundary
+
+
+def test_save_makes_missing_directories(tmp_path):
+    save_pgm(np.zeros((2, 3)), tmp_path / "a" / "b" / "x.pgm")
+    save_matrix(np.eye(2), tmp_path / "a" / "c" / "m.txt")
+    assert load_pgm(tmp_path / "a" / "b" / "x.pgm").shape == (2, 3)
+    np.testing.assert_array_equal(load_matrix(tmp_path / "a" / "c" / "m.txt"),
+                                  np.eye(2))
+
+
+def test_unreadable_undecodable_and_unwritable_files_raise_io_failure(
+        tmp_path):
+    pgm = tmp_path / "x.pgm"
+    save_pgm(np.full((4, 4), 255.0), pgm)  # 0xff never starts UTF-8
+    with pytest.raises(IoFailure, match="^cannot read .*x.pgm"):
+        load_matrix(pgm)
+    with pytest.raises(IoFailure, match="^cannot read .*missing.pgm"):
+        load_pgm(tmp_path / "missing.pgm")
+    with pytest.raises(IoFailure, match="^cannot write .*m.txt"):
+        save_matrix(np.eye(2), pgm / "m.txt")  # a file as the directory
+    with pytest.raises(IoFailure, match="^cannot write"):
+        save_pgm(np.zeros((2, 2)), tmp_path)  # a directory as the file

@@ -102,3 +102,10 @@ def test_invalid_specs_rejected():
     ]:
         with pytest.raises(NonPositiveHyperparameter):
             generate_synthetic(spec)
+
+
+def test_negative_seed_rejected():
+    """A negative seed is a typed error, not numpy's raw ValueError."""
+    spec = SyntheticSpec(M=6, N=9, L=30, sparsity=2, snr_db=20.0, seed=-1)
+    with pytest.raises(NonPositiveHyperparameter, match="^seed must be"):
+        generate_synthetic(spec)
