@@ -38,7 +38,7 @@ from .omp import (
     normalize_dictionary,
     omp_encode,
 )
-from .patches import PatchGrid, extract_patches, reassemble_image
+from .patches import extract_patches, map_patches
 from .synthetic import SyntheticSpec, generate_synthetic, snr_to_noise_std
 from .vb import (
     VBMoments,
@@ -56,15 +56,14 @@ from .vb import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainTrace", "GibbsState", "ModelConfig", "OmpStop", "PatchGrid",
-    "RecoveryReport", "SparseCode", "SparseCodes", "SyntheticSpec",
-    "TrainingSet", "VBMoments", "VBState", "VBTrace", "atom_distance",
-    "batch_encode", "compute_elbo", "errors", "estimate_dictionary",
-    "extract_patches", "generate_synthetic", "initialize_gibbs_state",
-    "initialize_vb_state", "match_and_score", "moments_from_state",
+    "ChainTrace", "GibbsState", "ModelConfig", "OmpStop", "RecoveryReport",
+    "SparseCode", "SparseCodes", "SyntheticSpec", "TrainingSet",
+    "VBMoments", "VBState", "VBTrace", "atom_distance", "batch_encode",
+    "compute_elbo", "errors", "estimate_dictionary", "extract_patches",
+    "generate_synthetic", "initialize_gibbs_state", "initialize_vb_state",
+    "map_patches", "match_and_score", "moments_from_state",
     "normalize_dictionary", "omp_encode", "psnr", "psnr_conventional",
-    "reassemble_image", "reconstruction_error", "run_gibbs", "run_vb",
-    "snr_to_noise_std", "update_alpha", "update_codes",
-    "update_dictionary_atomwise", "update_dictionary_full", "update_gamma",
-    "validate_config",
+    "reconstruction_error", "run_gibbs", "run_vb", "snr_to_noise_std",
+    "update_alpha", "update_codes", "update_dictionary_atomwise",
+    "update_dictionary_full", "update_gamma", "validate_config",
 ]

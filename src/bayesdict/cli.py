@@ -44,7 +44,7 @@ from .metrics import (
     psnr_conventional,
     reconstruction_error,
 )
-from .model import ModelConfig, TrainingSet
+from .model import ModelConfig, TrainingSet, validate_config
 from .omp import OmpStop, batch_encode, normalize_dictionary
 from .patches import extract_patches, map_patches
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -92,15 +92,15 @@ def _bench_schema(engine: str) -> dict:
 
 
 def _train_schema(engine: str, given: dict) -> dict:
-    """stride is read only for a .pgm input, the one input cut into
-    patches; on a matrix input, setting it is an error."""
+    """stride is read only for a .pgm input (any case), the one input cut
+    into patches; on a matrix input, setting it is an error."""
     schema = _engine_schema(engine)
     schema.update({
         "input": ("str", REQUIRED),
         "num_atoms": ("int", "256"),
         "remove_dc": ("bool", "false"),
     })
-    if given.get("input", "").endswith(".pgm"):
+    if given.get("input", "").lower().endswith(".pgm"):
         schema["stride"] = ("int", "2")
     elif "stride" in given:
         raise ConfigParseError("stride does not apply to matrix input")
@@ -216,6 +216,11 @@ def cmd_bench_synthetic(args) -> int:
         raise ConfigParseError("seed must be >= 0")
     if not (resolved["L_grid"] and resolved["snr_grid"] and resolved["k_grid"]):
         raise ConfigParseError("L_grid, snr_grid, and k_grid must be non-empty")
+    # a setting every trial would fail on is rejected before the first;
+    # validate_config reads only the training set's dimensions
+    for L in resolved["L_grid"]:
+        validate_config(_model_config(resolved, resolved["seed"]),
+                        TrainingSet(Y=np.empty((0, 0)), M=resolved["M"], L=L))
 
     table = [("engine", "L", "snr_db", "K", "trials", "completed",
               "mean_success_rate")]
@@ -272,9 +277,9 @@ def _bench_trial(resolved: dict, engine: str, L: int, snr: float, k,
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     resolved = _resolve_config(args, _train_schema)
-    if resolved["input"].endswith(".pgm"):  # an image, cut into 8x8 patches
-        Y, _ = extract_patches(load_pgm(resolved["input"]), patch_size=8,
-                               stride=resolved["stride"])
+    if "stride" in resolved:  # an image, cut into 8x8 patches
+        Y = extract_patches(load_pgm(resolved["input"]), patch_size=8,
+                            stride=resolved["stride"])
     else:
         Y = load_matrix(resolved["input"])
     if resolved["remove_dc"]:

@@ -90,7 +90,3 @@ class IoFailure(BayesdictError):
 
 class ImageTooSmall(BayesdictError):
     pass
-
-
-class CoverageGap(BayesdictError):
-    pass

@@ -3,21 +3,15 @@
 Training grids place patch top-left corners at [r*i, r*j] for
 i, j = 0..floor((Q - p)/r). Denoising codes the full stride-1 grid
 through `map_patches`, one band of whole patch rows at a time, so that
-only one band's patches are held at once. Patches are vectorized
-column-major within the patch, and patch columns are ordered row-major
-over (i, j), both fixed so golden files stay stable.
+only one band's patches are held at once, and averages the rebuilt
+patches back into the image. Patches are vectorized column-major within
+the patch, and patch columns are ordered row-major over (i, j), both
+fixed so golden files stay stable.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoverageGap,
-    ImageTooSmall,
-    NonPositiveHyperparameter,
-    ShapeMismatch,
-)
+from .errors import ImageTooSmall, NonPositiveHyperparameter, ShapeMismatch
 
 # Patches per band of map_patches, rounded down to whole patch rows (at
 # least one): 1936 for a 128² image and 8 x 8 patches, whose band then
@@ -27,15 +21,6 @@ from .errors import (
 # RSS of a 512² run from 336 to 56 MiB. Bands of 1024, 2048 and the
 # whole 128² grid timed within 2% of each other, interleaved.
 _BAND_PATCHES = 2048
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    patch_size: int
-    stride: int
-    origin_rows: tuple
-    origin_cols: tuple
-    image_dims: tuple
 
 
 def _offset_slices(p: int, stride: int, rows: int, cols: int,
@@ -63,16 +48,10 @@ def _gather(image, p, stride, rows, cols, top=0):
     return out
 
 
-def _scatter(acc, count, patches, p, stride, rows, cols, top=0):
-    for a, b, window in _offset_slices(p, stride, rows, cols, top):
+def _scatter(acc, count, patches, p, rows, cols, top):
+    for a, b, window in _offset_slices(p, 1, rows, cols, top):
         acc[window] += patches[a + b * p].reshape(rows, cols)
         count[window] += 1.0
-
-
-def _average(acc, count):
-    if np.any(count == 0):
-        raise CoverageGap("grid leaves uncovered pixels; use stride 1")
-    return np.clip(acc / count, 0.0, 255.0)
 
 
 def _grid_side(image, patch_size, stride):
@@ -90,28 +69,10 @@ def _grid_side(image, patch_size, stride):
 
 
 def extract_patches(image: np.ndarray, patch_size: int = 8,
-                    stride: int = 2) -> tuple[np.ndarray, PatchGrid]:
+                    stride: int = 2) -> np.ndarray:
     """All patches on the stride grid as columns of a (p*p, P) matrix."""
     image, n = _grid_side(image, patch_size, stride)
-    offsets = tuple(stride * i for i in range(n))
-    grid = PatchGrid(patch_size=patch_size, stride=stride,
-                     origin_rows=offsets, origin_cols=offsets,
-                     image_dims=image.shape)
-    return _gather(image, patch_size, stride, n, n), grid
-
-
-def reassemble_image(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    """Average every pixel over all patches covering it, clamp to [0, 255]."""
-    p = grid.patch_size
-    n = len(grid.origin_rows)
-    if patches.shape != (p * p, n * n):
-        raise ShapeMismatch(
-            f"patch matrix {patches.shape} does not fit grid "
-            f"({p * p} x {n * n})")
-    acc = np.zeros(grid.image_dims)
-    count = np.zeros(grid.image_dims)
-    _scatter(acc, count, patches, p, grid.stride, n, n)
-    return _average(acc, count)
+    return _gather(image, patch_size, stride, n, n)
 
 
 def map_patches(image: np.ndarray, patch_size: int, fn) -> np.ndarray:
@@ -119,9 +80,11 @@ def map_patches(image: np.ndarray, patch_size: int, fn) -> np.ndarray:
 
     fn takes a (p*p, B) matrix of patches in extract_patches' layout and
     returns a matrix of that shape, its rebuilt patches. It is called once
-    per band of whole patch rows, top band first, so the result equals
-    reassemble_image(fn(patches), grid) over the whole grid bit for bit
-    whenever fn treats each column on its own.
+    per band of whole patch rows, top band first. Each pixel becomes the
+    mean of the rebuilt patches covering it, added in row-major order of
+    their origins, clamped to [0, 255]; so when fn treats each column on
+    its own, the result does not depend on the band size. A stride-1 grid
+    covers every pixel.
     """
     image, n = _grid_side(image, patch_size, 1)
     p = patch_size
@@ -135,5 +98,5 @@ def map_patches(image: np.ndarray, patch_size: int, fn) -> np.ndarray:
             raise ShapeMismatch(
                 f"rebuilt patches {rebuilt.shape} do not fit the band "
                 f"({p * p} x {rows * n})")
-        _scatter(acc, count, rebuilt, p, 1, rows, n, top)
-    return _average(acc, count)
+        _scatter(acc, count, rebuilt, p, rows, n, top)
+    return np.clip(acc / count, 0.0, 255.0)

@@ -5,7 +5,8 @@ numpy.linalg.inv, residuals recomputed from scratch, expectations by
 Monte Carlo or numerical quadrature through scipy.stats. None of it
 shares code with the package, so agreement is evidence rather than
 tautology. Two exceptions: denoise_whole_image composes the package's
-own pieces over the whole image to check how denoising splits the image
+extraction and OMP over the whole image, with reassemble_patches in
+place of its banded reassembly, to check how denoising splits the image
 into bands, and the *_allocating functions are the engines' per-sweep
 alpha, gamma and ELBO steps as they were written before they updated
 the state's arrays in place, kept to check the in-place forms bit for
@@ -20,7 +21,7 @@ from scipy.special import gammaln
 
 from bayesdict.linalg import spd_logdet
 from bayesdict.omp import OmpStop, batch_encode, normalize_dictionary
-from bayesdict.patches import extract_patches, reassemble_image
+from bayesdict.patches import extract_patches
 from bayesdict.vb import LN_2PI, _dtd, _gamma_entropy, _x_outer
 
 
@@ -405,25 +406,46 @@ def omp_residual_form(D, Y, max_sparsity=None, residual_threshold=None):
     return sizes, sup, coef, norms
 
 
+def reassemble_patches(patches, side, patch_size, stride):
+    """Average patch columns back into a side x side image, one patch at
+    a time: the patch at origin (r, c), origins taken row-major over
+    0, stride, 2*stride, ..., is its column unvectorized column-major and
+    added at [r:r+p, c:c+p]. Each pixel is then divided by the number of
+    patches covering it and clamped to [0, 255]."""
+    p = patch_size
+    origins = range(0, side - p + 1, stride)
+    assert patches.shape == (p * p, len(origins) ** 2)
+    acc = np.zeros((side, side))
+    count = np.zeros((side, side))
+    col = 0
+    for r in origins:
+        for c in origins:
+            acc[r:r + p, c:c + p] += patches[:, col].reshape(p, p, order="F")
+            count[r:r + p, c:c + p] += 1.0
+            col += 1
+    return np.clip(acc / count, 0.0, 255.0)
+
+
 def denoise_whole_image(noisy, D, threshold, remove_dc):
     """The denoise pipeline over the whole stride-1 grid at once, as
     `cli.cmd_denoise` ran it before it coded one band of patch rows at a
     time: extract every patch, remove the means if remove_dc, code all
-    patches in one batch_encode call, rebuild them and reassemble.
+    patches in one batch_encode call, rebuild them and reassemble them
+    with reassemble_patches.
 
-    It is built from the package's own pieces, so it checks the banding,
-    not the pieces. Returns the denoised image and the patches_coded and
-    mean_support metrics.
+    It checks the banding and the reassembly, not extraction or OMP.
+    Returns the denoised image and the patches_coded and mean_support
+    metrics.
     """
     side = int(np.sqrt(D.shape[0]))
     Dn, _ = normalize_dictionary(D)
-    patches, grid = extract_patches(noisy, patch_size=side, stride=1)
+    patches = extract_patches(noisy, patch_size=side, stride=1)
     means = patches.mean(axis=0) if remove_dc else 0.0
     patches -= means
     codes = batch_encode(Dn, patches, OmpStop(residual_threshold=threshold))
     rebuilt = codes.reconstruct(Dn)
     rebuilt += means
-    return reassemble_image(rebuilt, grid), {
+    return reassemble_patches(rebuilt, noisy.shape[0], side, 1), {
         "patches_coded": len(codes),
         "mean_support": float(codes.indptr[-1] / len(codes))}
 

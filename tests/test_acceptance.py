@@ -14,11 +14,10 @@ from bayesdict import (
     TrainingSet,
     atom_distance,
     compute_elbo,
-    extract_patches,
     initialize_vb_state,
+    map_patches,
     match_and_score,
     moments_from_state,
-    reassemble_image,
     update_alpha,
     update_codes,
     update_dictionary_atomwise,
@@ -326,8 +325,7 @@ def test_criterion_7_denoising(tmp_path):
 
     # round trip sanity required by the criterion
     noisy = load_pgm(noisy_path)
-    patches, grid = extract_patches(noisy, patch_size=8, stride=1)
-    identity_gap = float(np.max(np.abs(reassemble_image(patches, grid)
+    identity_gap = float(np.max(np.abs(map_patches(noisy, 8, lambda P: P)
                                        - noisy)))
 
     train_cfg = tmp_path / "train.cfg"

@@ -252,6 +252,26 @@ def test_bench_rejects_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("iters = 15\n", "iters = 15\na = -1\n"),
+     "a must be finite and positive, got -1.0"),
+    (("L_grid = 40\n", "L_grid = 40 0\n"), "training set is 6x0"),
+], ids=["a", "L_grid"])
+def test_bench_rejects_model_settings_before_any_trial(tmp_path, capsys, edit,
+                                                       message):
+    """A setting train would reject up front fails the run as a whole,
+    before the first trial: not as an error row in every trial of an
+    exit-0 run with success_rate nan."""
+    cfg = tmp_path / "bench.cfg"
+    write_bench_cfg(cfg)
+    cfg.write_text(cfg.read_text().replace(*edit))
+    rc = run_cli("bench-synthetic", "--config", str(cfg),
+                 "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command, argv, message", [
     ("bench-synthetic", ("--config", "trials0.cfg"), "trials must be >= 1"),
     ("denoise", ("--config", "den.cfg", "--sigma", "-1"),
@@ -365,6 +385,18 @@ def test_train_stride_flag_sets_the_patch_grid(tmp_path):
                    "--out", str(out)) == 0
     assert "signals\t25" in (out / "report.txt").read_text()
     assert "stride = 4\n" in (out / "config_echo.cfg").read_text()
+
+
+def test_train_reads_an_upper_case_pgm_suffix_as_an_image(tmp_path):
+    img_path = tmp_path / "img.PGM"
+    make_image(img_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {img_path}\nnum_atoms = 20\niters = 2\n"
+                   "stride = 4\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
+    assert load_matrix(out / "dictionary.txt").shape == (64, 20)
+    assert "signals\t25" in (out / "report.txt").read_text()
 
 
 @pytest.mark.parametrize("flags, line", [((), "stride = 2\n"),
@@ -680,30 +712,53 @@ def test_only_fileio_touches_the_file_system():
     assert calls == []
 
 
+def test_every_error_type_is_raised_somewhere():
+    """Every class errors.py defines, but the base class, is raised by
+    some module of the package: a type nothing raises is dead code that
+    callers may still catch."""
+    package = Path(bayesdict.__file__).parent
+    defined = {node.name for node in ast.parse(
+        (package / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)} - {"BayesdictError"}
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name)
+                           else getattr(exc, "attr", None))
+    assert sorted(defined - raised) == []
+
+
 def unreadable_inputs(tmp_path):
-    """A PGM in each of the three places that take a text file."""
+    """PGM bytes in each of the three places that take a text file, with
+    the file that does not decode. train reads an input named .pgm, in
+    any case, as an image, so its text input is x.bin."""
     pgm = tmp_path / "x.PGM"
     save_pgm(np.full((16, 16), 255.0), pgm)  # 0xff never starts UTF-8
+    binary = tmp_path / "x.bin"
+    binary.write_bytes(pgm.read_bytes())
     noisy = tmp_path / "n.pgm"
     make_image(noisy, q=16)
     den = tmp_path / "den.cfg"
     den.write_text(f"dictionary = {pgm}\ninput = {noisy}\nsigma = 10\n")
     train = tmp_path / "train.cfg"
-    train.write_text(f"input = {pgm}\nnum_atoms = 4\niters = 2\n")
-    return {"denoise-dictionary": ("denoise", "--config", str(den)),
-            "train-input": ("train", "--config", str(train)),
-            "config": ("train", "--config", str(pgm))}
+    train.write_text(f"input = {binary}\nnum_atoms = 4\niters = 2\n")
+    return {"denoise-dictionary": (("denoise", "--config", str(den)), pgm),
+            "train-input": (("train", "--config", str(train)), binary),
+            "config": (("train", "--config", str(pgm)), pgm)}
 
 
 @pytest.mark.parametrize("case", ["denoise-dictionary", "train-input",
                                   "config"])
 def test_a_file_that_does_not_decode_is_an_io_failure(tmp_path, capsys,
                                                       case):
-    argv = unreadable_inputs(tmp_path)[case]
+    argv, bad = unreadable_inputs(tmp_path)[case]
     rc = run_cli(*argv, "--out", str(tmp_path / "x"))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot read ") and "x.PGM" in err
+    assert err.startswith(f"error: cannot read {bad}")
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
 

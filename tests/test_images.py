@@ -5,9 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bayesdict import extract_patches, reassemble_image
+from bayesdict import extract_patches, map_patches
 from bayesdict.errors import (
-    CoverageGap,
     ImageTooSmall,
     IoFailure,
     MalformedHeader,
@@ -16,7 +15,7 @@ from bayesdict.errors import (
     UnsupportedMaxval,
 )
 from bayesdict.fileio import load_matrix, load_pgm, save_matrix, save_pgm
-from bayesdict.patches import map_patches
+import oracles
 
 
 def gradient_image(q):
@@ -31,9 +30,7 @@ def gradient_image(q):
 def test_patch_vectorization_layout():
     """Patches are column-major inside, patch columns row-major over (i,j)."""
     img = gradient_image(10)
-    patches, grid = extract_patches(img, patch_size=3, stride=7)
-    assert grid.origin_rows == (0, 7)
-    assert grid.origin_cols == (0, 7)
+    patches = extract_patches(img, patch_size=3, stride=7)
     assert patches.shape == (9, 4)
     # column 0 = patch at (0, 0); column-major: rows vary fastest
     np.testing.assert_array_equal(patches[:, 0], img[0:3, 0:3].flatten("F"))
@@ -46,32 +43,31 @@ def test_patch_vectorization_layout():
 def test_patch_count_formula():
     img = gradient_image(16)
     for stride in (1, 2, 4):
-        patches, grid = extract_patches(img, patch_size=8, stride=stride)
+        patches = extract_patches(img, patch_size=8, stride=stride)
         n_off = (16 - 8) // stride + 1
-        assert len(grid.origin_rows) == n_off
         assert patches.shape == (64, n_off * n_off)
     # a patch-sized image yields exactly one placement at any stride
-    patches, grid = extract_patches(gradient_image(8), patch_size=8, stride=2)
+    patches = extract_patches(gradient_image(8), patch_size=8, stride=2)
     assert patches.shape == (64, 1)
-    assert grid.origin_rows == (0,) and grid.origin_cols == (0,)
+
+
+# ---------------------------------------------------------------------------
+# reassembly: map_patches over the stride-1 grid
 
 
 def test_extract_reassemble_identity():
     """Averaging overlapping copies of the same image gives it back."""
     img = np.random.default_rng(0).random((20, 20)) * 255
-    for stride in (1, 2, 4):
-        patches, grid = extract_patches(img, patch_size=8, stride=stride)
-        back = reassemble_image(patches, grid)
-        np.testing.assert_allclose(back, img, atol=1e-10)
+    np.testing.assert_allclose(map_patches(img, 8, lambda band: band), img,
+                               atol=1e-10)
 
 
-@pytest.mark.parametrize("p, stride", [(p, s) for p in (2, 3, 4, 8)
-                                       for s in (1, 2, 3) if s <= p])
+@pytest.mark.parametrize("p, stride", [(p, 1) for p in (2, 3, 4, 8)])
 def test_reassemble_count_map_oracle(p, stride):
     """Pixel averaging counts match a brute-force loop."""
-    q = p + 5 * stride  # the grid covers every pixel; (4, 2) gives 14
+    q = p + 5
     img = gradient_image(q)
-    patches, grid = extract_patches(img, patch_size=p, stride=stride)
+    patches = extract_patches(img, patch_size=p, stride=stride)
 
     counts = np.zeros((q, q))
     offsets = range(0, q - p + 1, stride)
@@ -79,11 +75,9 @@ def test_reassemble_count_map_oracle(p, stride):
         for c0 in offsets:
             counts[r0:r0 + p, c0:c0 + p] += 1
 
-    # feed constant-1 patches: reassembly returns acc/count = 1 everywhere,
-    # and scaling one patch by its index isolates each count cell
-    ones = np.ones_like(patches)
-    np.testing.assert_array_equal(reassemble_image(ones, grid),
-                                  np.ones((q, q)))
+    # constant-1 patches: reassembly returns acc/count = 1 everywhere
+    np.testing.assert_array_equal(
+        map_patches(img, p, lambda band: np.ones_like(band)), np.ones((q, q)))
     # accumulate patch contributions manually and compare
     acc = np.zeros((q, q))
     col = 0
@@ -92,7 +86,7 @@ def test_reassemble_count_map_oracle(p, stride):
             acc[r0:r0 + p, c0:c0 + p] += patches[:, col].reshape((p, p),
                                                                  order="F")
             col += 1
-    np.testing.assert_allclose(reassemble_image(patches, grid),
+    np.testing.assert_allclose(map_patches(img, p, lambda band: band),
                                np.clip(acc / counts, 0, 255), atol=1e-12)
 
 
@@ -102,8 +96,7 @@ def test_dense_grid_interior_coverage_and_constant_average():
     constant."""
     q, p = 16, 8
     img = gradient_image(q)
-    patches, grid = extract_patches(img, patch_size=p, stride=1)
-    assert patches.shape[1] == 81
+    assert extract_patches(img, patch_size=p, stride=1).shape[1] == 81
 
     counts = np.zeros((q, q))
     for r0 in range(q - p + 1):
@@ -112,33 +105,65 @@ def test_dense_grid_interior_coverage_and_constant_average():
     assert counts[7, 7] == 64 and counts[8, 8] == 64
     assert counts[0, 0] == 1
 
-    flat = np.full_like(patches, 100.0)
-    np.testing.assert_array_equal(reassemble_image(flat, grid),
-                                  np.full((q, q), 100.0))
+    flat = map_patches(img, p, lambda band: np.full_like(band, 100.0))
+    np.testing.assert_array_equal(flat, np.full((q, q), 100.0))
 
-    # indexed-value patches expose every averaging weight at once
-    indexed = patches * 0 + np.arange(81)[np.newaxis, :]
+    # indexed-value patches expose every averaging weight at once; the
+    # 81 patches make one band, so the band's columns are the grid's
     acc = np.zeros((q, q))
     col = 0
     for r0 in range(q - p + 1):
         for c0 in range(q - p + 1):
             acc[r0:r0 + p, c0:c0 + p] += col
             col += 1
-    np.testing.assert_allclose(reassemble_image(indexed, grid),
-                               np.clip(acc / counts, 0, 255), atol=1e-12)
+    indexed = map_patches(img, p, lambda band: band * 0
+                          + np.arange(band.shape[1])[np.newaxis, :])
+    np.testing.assert_allclose(indexed, np.clip(acc / counts, 0, 255),
+                               atol=1e-12)
 
 
 def test_map_patches_of_the_identity_returns_the_image(monkeypatch):
     """Bands of two 4 x 4 patch rows over 17 rows, the last band one row,
-    give back the image as reassembling the whole grid does."""
+    give back the image as reassembling the whole grid in a loop does."""
     monkeypatch.setattr("bayesdict.patches._BAND_PATCHES", 35)
     img = np.random.default_rng(3).uniform(0.0, 255.0, (20, 20))
     bands = []
     out = map_patches(img, 4, lambda band: bands.append(band.shape) or band)
     assert bands == [(16, 34)] * 8 + [(16, 17)]
-    whole, grid = extract_patches(img, patch_size=4, stride=1)
-    np.testing.assert_array_equal(out, reassemble_image(whole, grid))
+    whole = extract_patches(img, patch_size=4, stride=1)
+    np.testing.assert_array_equal(out,
+                                  oracles.reassemble_patches(whole, 20, 4, 1))
     np.testing.assert_allclose(out, img, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("q, p", [(128, 8), (64, 8), (33, 5), (20, 4),
+                                  (9, 9)])
+@pytest.mark.parametrize("band", ["one-row", "ragged", "whole"])
+def test_map_patches_matches_the_loop_oracle_bit_for_bit(monkeypatch, q, p,
+                                                         band):
+    """The banded scatter adds every pixel's patches in the order the
+    plain loop of oracles.reassemble_patches does, so with a column-wise
+    fn the two are equal bit for bit, whatever the band: one patch row,
+    bands of about half the grid whose last one is shorter, or the whole
+    grid. (A GEMM fn is not column-wise: BLAS blocking on the band width
+    changes its rounding by ~1e-13.)"""
+    n = q - p + 1
+    rows = {"one-row": 1, "ragged": n // 2 + 1, "whole": n}[band]
+    monkeypatch.setattr("bayesdict.patches._BAND_PATCHES", rows * n)
+    img = np.random.default_rng(q * p).uniform(0.0, 255.0, (q, q))
+
+    def fn(patches):
+        # An elementwise fn would hand a pixel the same value from every
+        # patch over it, which sums alike in any order; turning each
+        # patch half a turn gives it different values. The result
+        # overshoots [0, 255], so the clamp is exercised too.
+        return 1.2 * patches[::-1] - 30.0 * np.sin(patches)
+
+    widths = []
+    out = map_patches(img, p, lambda P: widths.append(P.shape[1]) or fn(P))
+    assert widths == [rows * n] * (n // rows) + [n % rows * n] * (n % rows > 0)
+    ref = oracles.reassemble_patches(fn(extract_patches(img, p, 1)), q, p, 1)
+    np.testing.assert_array_equal(out, ref)
 
 
 def test_map_patches_rejects_a_band_of_the_wrong_shape():
@@ -150,21 +175,10 @@ def test_map_patches_rejects_a_band_of_the_wrong_shape():
 
 def test_reassemble_clamps_to_pixel_range():
     img = np.full((8, 8), 100.0)
-    patches, grid = extract_patches(img, patch_size=8, stride=1)
-    hot = patches + 300.0
-    np.testing.assert_array_equal(reassemble_image(hot, grid),
+    np.testing.assert_array_equal(map_patches(img, 8, lambda P: P + 300.0),
                                   np.full((8, 8), 255.0))
-    cold = patches - 300.0
-    np.testing.assert_array_equal(reassemble_image(cold, grid),
+    np.testing.assert_array_equal(map_patches(img, 8, lambda P: P - 300.0),
                                   np.zeros((8, 8)))
-
-
-def test_coverage_gap_detected():
-    img = gradient_image(9)
-    patches, grid = extract_patches(img, patch_size=8, stride=4)
-    assert grid.origin_rows == (0,)  # rightmost pixel column uncovered
-    with pytest.raises(CoverageGap):
-        reassemble_image(patches, grid)
 
 
 def test_extract_validation():
@@ -186,13 +200,6 @@ def test_extract_rejects_non_positive_grid_parameters(key, kwargs):
     with pytest.raises(NonPositiveHyperparameter, match=key) as info:
         extract_patches(np.zeros((16, 16)), **kwargs)
     assert info.value.field == key
-
-
-def test_reassemble_shape_check():
-    img = gradient_image(12)
-    patches, grid = extract_patches(img, patch_size=4, stride=4)
-    with pytest.raises(ShapeMismatch):
-        reassemble_image(patches[:, :-1], grid)
 
 
 # ---------------------------------------------------------------------------

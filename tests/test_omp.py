@@ -421,7 +421,7 @@ def test_batch_equals_residual_form_oracle_on_image_patches(stop):
     175 692 in twelve 128 x 128 draws (seeds 500, 501, 777) do."""
     clean = bench_inputs.clean_image(48, seed=0)
     noisy = bench_inputs.noisy_image(clean, 25.0, seed=0)
-    patches, _ = extract_patches(noisy, patch_size=8, stride=1)
+    patches = extract_patches(noisy, patch_size=8, stride=1)
     D = bench_inputs.overcomplete_dct()
     codes = batch_encode(D, patches, stop)
     sizes, sup, coef, norms = oracles.omp_residual_form(
