@@ -17,7 +17,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,10 +177,6 @@ def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
     return state.dict_mean, columns, metrics
 
 
-def _fmt_rate(rate: float) -> str:
-    return "nan" if np.isnan(rate) else f"{rate:.6f}"
-
-
 def _write_tsv(path: Path, rows) -> None:
     """One tab-separated line per row, fields through str()."""
     _write(path, "".join("\t".join(map(str, row)) + "\n" for row in rows))
@@ -216,11 +212,13 @@ def cmd_bench_synthetic(args) -> int:
         raise ConfigParseError("seed must be >= 0")
     if not (resolved["L_grid"] and resolved["snr_grid"] and resolved["k_grid"]):
         raise ConfigParseError("L_grid, snr_grid, and k_grid must be non-empty")
-    # a setting every trial would fail on is rejected before the first;
-    # validate_config reads only the training set's dimensions
-    for L in resolved["L_grid"]:
-        validate_config(_model_config(resolved, resolved["seed"]),
-                        TrainingSet(Y=np.empty((0, 0)), M=resolved["M"], L=L))
+    # a setting every trial would fail on is rejected before the first
+    validate_config(_model_config(resolved, resolved["seed"]))
+    specs = [SyntheticSpec(M=resolved["M"], N=resolved["num_atoms"], L=L,
+                           sparsity=k, snr_db=snr, seed=resolved["seed"])
+             for L, snr, k in itertools.product(resolved["L_grid"],
+                                                resolved["snr_grid"],
+                                                resolved["k_grid"])]
 
     table = [("engine", "L", "snr_db", "K", "trials", "completed",
               "mean_success_rate")]
@@ -228,24 +226,24 @@ def cmd_bench_synthetic(args) -> int:
                   "success_rate")]
     all_rates = []
     failures = 0
-    for L, snr, k in itertools.product(resolved["L_grid"],
-                                       resolved["snr_grid"],
-                                       resolved["k_grid"]):
-        cell = (engine, L, format_value(snr), format_value(k))
+    for spec in specs:
+        cell = (engine, spec.L, format_value(spec.snr_db),
+                format_value(spec.sparsity))
         rates = []
         for t in range(resolved["trials"]):
             tseed = resolved["seed"] + t
             try:
-                rate = _bench_trial(resolved, engine, L, snr, k, tseed)
+                rate = _bench_trial(resolved, engine,
+                                    replace(spec, seed=tseed))
                 status = "ok"
                 rates.append(rate)
             except BayesdictError as exc:
                 rate = float("nan")
                 status = f"error:{type(exc).__name__}"
                 failures += 1
-            per_trial.append((*cell, t, tseed, status, _fmt_rate(rate)))
+            per_trial.append((*cell, t, tseed, status, f"{rate:.6f}"))
         mean = float(np.mean(rates)) if rates else float("nan")
-        table.append((*cell, resolved["trials"], len(rates), _fmt_rate(mean)))
+        table.append((*cell, resolved["trials"], len(rates), f"{mean:.6f}"))
         all_rates.extend(rates)
     out_dir = Path(args.out)
     _write_tsv(out_dir / "bench_table.tsv", table)
@@ -263,13 +261,10 @@ def cmd_bench_synthetic(args) -> int:
                    ["bench_table.tsv", "bench_trials.tsv"], t0)
 
 
-def _bench_trial(resolved: dict, engine: str, L: int, snr: float, k,
-                 seed: int) -> float:
-    spec = SyntheticSpec(M=resolved["M"], N=resolved["num_atoms"], L=L,
-                         sparsity=k, snr_db=snr, seed=seed)
+def _bench_trial(resolved: dict, engine: str, spec: SyntheticSpec) -> float:
     D_true, _, Y, _ = generate_synthetic(spec)
     data = TrainingSet.from_matrix(Y)
-    D_hat, _, _ = _fit(engine, _model_config(resolved, seed), data)
+    D_hat, _, _ = _fit(engine, _model_config(resolved, spec.seed), data)
     return match_and_score(D_true, D_hat,
                            resolved["success_threshold"]).success_rate
 

@@ -209,7 +209,7 @@ def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsSta
     With thinning k, every k-th post-burn-in sample is kept, starting
     with the first one.
     """
-    validate_config(cfg, data)
+    validate_config(cfg)
     state = initialize_gibbs_state(cfg, data)
     trace = ChainTrace()
     for t in range(1, cfg.max_iters + 1):
@@ -236,15 +236,12 @@ def _check_finite(state: GibbsState, sweep: int) -> None:
 
 
 def estimate_dictionary(trace: ChainTrace, mode: str) -> np.ndarray:
-    """Point estimate from the kept samples: last one, or a tail average."""
-    kind, k = parse_estimate_mode(mode)
+    """The mean of the last k kept samples (k = 1 for last_sample)."""
+    k = parse_estimate_mode(mode)
     if not trace.kept_dicts:
         raise EmptyTrace("no dictionary samples were kept")
-    if kind == "last_sample":
-        return trace.kept_dicts[-1].copy()
     if k > len(trace.kept_dicts):
         raise TailLargerThanTrace(
             f"average_tail({k}) needs {k} samples, trace holds "
             f"{len(trace.kept_dicts)}")
-    tail = np.stack(trace.kept_dicts[-k:])
-    return tail.mean(axis=0)
+    return np.mean(trace.kept_dicts[-k:], axis=0)

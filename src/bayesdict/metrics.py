@@ -31,11 +31,9 @@ def atom_distance(d: np.ndarray, dhat: np.ndarray) -> float:
     dhat = np.asarray(dhat, dtype=np.float64).ravel()
     if d.shape != dhat.shape:
         raise ShapeMismatch(f"atom shapes differ: {d.shape} vs {dhat.shape}")
-    nd = np.linalg.norm(d)
-    nh = np.linalg.norm(dhat)
-    if nd == 0.0 or nh == 0.0:
+    if np.linalg.norm(d) == 0.0 or np.linalg.norm(dhat) == 0.0:
         raise ZeroVector("atom distance undefined for a zero vector")
-    return max(0.0, 1.0 - abs(float(d @ dhat)) / (nd * nh))
+    return float(_distance_matrix(d[:, None], dhat[:, None])[0, 0])
 
 
 def _distance_matrix(D_true: np.ndarray, D_learned: np.ndarray) -> np.ndarray:

@@ -75,9 +75,12 @@ class TrainingSet:
         if Y.ndim != 2:
             raise DimensionMismatch(
                 f"training data must be a 2-d matrix, got ndim={Y.ndim}")
-        if Y.size and not np.all(np.isfinite(Y)):
+        M, L = Y.shape
+        if Y.size == 0:
+            raise EmptyTrainingSet(f"training set is {M}x{L}")
+        if not np.all(np.isfinite(Y)):
             raise NonFiniteTrainingData("training matrix has non-finite entries")
-        return cls(Y=Y, M=Y.shape[0], L=Y.shape[1])
+        return cls(Y=Y, M=M, L=L)
 
 
 @dataclass
@@ -140,22 +143,22 @@ class GibbsState:
 _TAIL_RE = re.compile(r"^average_tail\((\d+)\)$")
 
 
-def parse_estimate_mode(mode: str) -> tuple[str, int | None]:
-    """Split a dict_estimate_mode string into (kind, tail length)."""
+def parse_estimate_mode(mode: str) -> int:
+    """How many kept samples the mode averages: 1 for last_sample, else k."""
     if mode == "last_sample":
-        return "last_sample", None
+        return 1
     m = _TAIL_RE.match(mode)
     if m:
         k = int(m.group(1))
         if k >= 1:
-            return "average_tail", k
+            return k
     raise ConfigParseError(
         f"dict_estimate_mode must be 'last_sample' or 'average_tail(k)', "
         f"got {mode!r}")
 
 
-def validate_config(cfg: ModelConfig, data: TrainingSet) -> ModelConfig:
-    """Check every ModelConfig invariant against the data dimensions.
+def validate_config(cfg: ModelConfig) -> ModelConfig:
+    """Check every ModelConfig invariant; the config alone decides them.
 
     Returns cfg unchanged on success so call sites can chain it.
     """
@@ -179,8 +182,6 @@ def validate_config(cfg: ModelConfig, data: TrainingSet) -> ModelConfig:
         raise BurnInExceedsIterations(
             f"burn_in={cfg.burn_in} must be smaller than max_iters={cfg.max_iters}")
     parse_estimate_mode(cfg.dict_estimate_mode)
-    if data.M < 1 or data.L < 1:
-        raise EmptyTrainingSet(f"training set is {data.M}x{data.L}")
     return cfg
 
 

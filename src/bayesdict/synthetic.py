@@ -17,8 +17,9 @@ from .errors import NonPositiveHyperparameter, ZeroSignal
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """sparsity is either an int (every signal K-sparse) or a (lo, hi)
-    tuple for K_l drawn uniformly from {lo, ..., hi}."""
+    """sparsity is an int K or a (lo, hi) range for K_l drawn uniformly
+    from {lo, ..., hi}. Checked when built: 1 <= lo <= hi <= N, snr_db
+    > -inf (+inf is noiseless), M, N, L >= 1 and seed >= 0."""
 
     M: int
     N: int
@@ -27,19 +28,24 @@ class SyntheticSpec:
     snr_db: float
     seed: int
 
-
-def _sparsity_bounds(spec: SyntheticSpec) -> tuple[int, int]:
-    if isinstance(spec.sparsity, int):
-        lo = hi = spec.sparsity
-    else:
-        lo, hi = spec.sparsity
-    if lo < 1 or hi < lo:
-        raise NonPositiveHyperparameter("sparsity", spec.sparsity,
-                                        "a valid sparsity or (lo, hi) range")
-    if hi > spec.N:
-        raise NonPositiveHyperparameter("sparsity", spec.sparsity,
-                                        f"at most N={spec.N}")
-    return lo, hi
+    def __post_init__(self):
+        lo, hi = (self.sparsity,) * 2 if isinstance(self.sparsity, int) \
+            else self.sparsity
+        if lo < 1 or hi < lo:
+            raise NonPositiveHyperparameter(
+                "sparsity", self.sparsity, "a valid sparsity or (lo, hi) range")
+        if hi > self.N:
+            raise NonPositiveHyperparameter("sparsity", self.sparsity,
+                                            f"at most N={self.N}")
+        if not self.snr_db > -np.inf:  # also catches nan; +inf is noiseless
+            raise NonPositiveHyperparameter("snr_db", self.snr_db,
+                                            "a number or +inf")
+        for name in ("M", "N", "L"):
+            if getattr(self, name) < 1:
+                raise NonPositiveHyperparameter(name, getattr(self, name),
+                                                "a positive integer")
+        if self.seed < 0:
+            raise NonPositiveHyperparameter("seed", self.seed, "non-negative")
 
 
 def snr_to_noise_std(clean: np.ndarray, snr_db: float) -> float:
@@ -52,16 +58,8 @@ def snr_to_noise_std(clean: np.ndarray, snr_db: float) -> float:
 
 def generate_synthetic(spec: SyntheticSpec):
     """Returns (D_true, X_true, Y, sigma); pure function of spec."""
-    lo, hi = _sparsity_bounds(spec)
-    if not spec.snr_db > -np.inf:  # also catches nan; +inf is noiseless
-        raise NonPositiveHyperparameter("snr_db", spec.snr_db,
-                                        "a number or +inf")
-    for name in ("M", "N", "L"):
-        if getattr(spec, name) < 1:
-            raise NonPositiveHyperparameter(name, getattr(spec, name),
-                                            "a positive integer")
-    if spec.seed < 0:
-        raise NonPositiveHyperparameter("seed", spec.seed, "non-negative")
+    lo, hi = (spec.sparsity,) * 2 if isinstance(spec.sparsity, int) \
+        else spec.sparsity
     rng = np.random.default_rng(spec.seed)
     D = rng.standard_normal((spec.M, spec.N))
     D /= np.linalg.norm(D, axis=0)

@@ -347,7 +347,7 @@ def run_vb(cfg: ModelConfig, data: TrainingSet,
     """
     if variant not in ("full", "atomwise"):
         raise ValueError(f"unknown variant {variant!r}")
-    validate_config(cfg, data)
+    validate_config(cfg)
     state = initialize_vb_state(cfg, data)
     trace = VBTrace()
     for sweep in range(cfg.max_iters):

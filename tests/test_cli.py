@@ -255,13 +255,22 @@ def test_bench_rejects_negative_seed(tmp_path, capsys):
 @pytest.mark.parametrize("edit, message", [
     (("iters = 15\n", "iters = 15\na = -1\n"),
      "a must be finite and positive, got -1.0"),
-    (("L_grid = 40\n", "L_grid = 40 0\n"), "training set is 6x0"),
-], ids=["a", "L_grid"])
+    (("L_grid = 40\n", "L_grid = 40 0\n"),
+     "L must be a positive integer, got 0"),
+    (("k_grid = 2\n", "k_grid = 2 9\n"),
+     "sparsity must be at most N=8, got 9"),
+    (("snr_grid = 20.0\n", "snr_grid = 20.0 -inf\n"),
+     "snr_db must be a number or +inf, got -inf"),
+    (("k_grid = 2\n", "k_grid = 2 0\n"),
+     "sparsity must be a valid sparsity or (lo, hi) range, got 0"),
+], ids=["a", "L_grid", "k_grid_above_num_atoms", "snr_grid_minus_inf",
+        "k_grid_zero"])
 def test_bench_rejects_model_settings_before_any_trial(tmp_path, capsys, edit,
                                                        message):
-    """A setting train would reject up front fails the run as a whole,
-    before the first trial: not as an error row in every trial of an
-    exit-0 run with success_rate nan."""
+    """A setting train would reject up front, or a grid value no trial
+    can use, fails the run as a whole before the first trial, also when
+    a valid cell comes before it: not as an error row in every trial of
+    an exit-0 run with success_rate nan."""
     cfg = tmp_path / "bench.cfg"
     write_bench_cfg(cfg)
     cfg.write_text(cfg.read_text().replace(*edit))
@@ -709,6 +718,20 @@ def test_only_fileio_touches_the_file_system():
                     else getattr(func, "attr", None)
                 if name in FILE_CALLS:
                     calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
+def test_only_from_matrix_builds_a_training_set():
+    """No module of the package calls TrainingSet(...) by name, so
+    from_matrix, which rejects an empty, non-2-d or non-finite matrix,
+    stays the one way a TrainingSet is built."""
+    package = Path(bayesdict.__file__).parent
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "TrainingSet"]
     assert calls == []
 
 

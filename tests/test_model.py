@@ -53,7 +53,7 @@ def test_training_set_coerces_and_checks():
 def test_positivity_validation(field, bad):
     cfg = ModelConfig(num_atoms=4, **{field: bad})
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(cfg, make_data())
+        validate_config(cfg)
 
 
 @pytest.mark.parametrize("field", ["a", "b", "c", "d"])
@@ -62,46 +62,45 @@ def test_infinite_gamma_hyperparameters_rejected(field):
     pins every code at 0); only beta may be inf."""
     cfg = ModelConfig(num_atoms=4, **{field: float("inf")})
     with pytest.raises(NonPositiveHyperparameter, match=f"^{field} must be"):
-        validate_config(cfg, make_data())
+        validate_config(cfg)
 
 
 def test_beta_inf_is_allowed():
-    validate_config(ModelConfig(num_atoms=4, beta=float("inf")), make_data())
+    validate_config(ModelConfig(num_atoms=4, beta=float("inf")))
 
 
 def test_integer_field_validation():
-    data = make_data()
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=0), data)
+        validate_config(ModelConfig(num_atoms=0))
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, max_iters=0), data)
+        validate_config(ModelConfig(num_atoms=4, max_iters=0))
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, burn_in=-1), data)
+        validate_config(ModelConfig(num_atoms=4, burn_in=-1))
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, thinning=0), data)
+        validate_config(ModelConfig(num_atoms=4, thinning=0))
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, seed=-1), data)
+        validate_config(ModelConfig(num_atoms=4, seed=-1))
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, tol=-0.5), data)
+        validate_config(ModelConfig(num_atoms=4, tol=-0.5))
 
 
 def test_burn_in_must_leave_samples():
-    data = make_data()
     with pytest.raises(BurnInExceedsIterations):
-        validate_config(ModelConfig(num_atoms=4, max_iters=10, burn_in=10),
-                        data)
-    validate_config(ModelConfig(num_atoms=4, max_iters=10, burn_in=9), data)
+        validate_config(ModelConfig(num_atoms=4, max_iters=10, burn_in=10))
+    validate_config(ModelConfig(num_atoms=4, max_iters=10, burn_in=9))
 
 
 def test_empty_training_set_rejected():
-    cfg = ModelConfig(num_atoms=4)
-    with pytest.raises(EmptyTrainingSet):
-        validate_config(cfg, TrainingSet.from_matrix(np.zeros((4, 0))))
+    """from_matrix, the one way to build a TrainingSet, rejects it."""
+    for M, L in [(4, 0), (0, 3)]:
+        with pytest.raises(EmptyTrainingSet,
+                           match=f"^training set is {M}x{L}$"):
+            TrainingSet.from_matrix(np.zeros((M, L)))
 
 
 def test_estimate_mode_parsing():
-    assert parse_estimate_mode("last_sample") == ("last_sample", None)
-    assert parse_estimate_mode("average_tail(25)") == ("average_tail", 25)
+    assert parse_estimate_mode("last_sample") == 1
+    assert parse_estimate_mode("average_tail(25)") == 25
     for bad in ["average_tail(0)", "average_tail(-3)", "average_tail(x)",
                 "mean", "last", "average_tail()"]:
         with pytest.raises(ConfigParseError):

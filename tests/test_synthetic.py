@@ -76,9 +76,8 @@ def test_infinite_snr_is_noiseless():
 @pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
 def test_snr_below_every_number_rejected(snr_db):
     """-inf dB would need infinite noise; it is not the noiseless +inf."""
-    spec = SyntheticSpec(M=6, N=9, L=30, sparsity=2, snr_db=snr_db, seed=4)
     with pytest.raises(NonPositiveHyperparameter, match="^snr_db must be"):
-        generate_synthetic(spec)
+        SyntheticSpec(M=6, N=9, L=30, sparsity=2, snr_db=snr_db, seed=4)
 
 
 def test_determinism_and_seed_sensitivity():
@@ -93,19 +92,19 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_invalid_specs_rejected():
-    for spec in [
-        SyntheticSpec(M=6, N=9, L=30, sparsity=0, snr_db=20.0, seed=0),
-        SyntheticSpec(M=6, N=9, L=30, sparsity=10, snr_db=20.0, seed=0),
-        SyntheticSpec(M=6, N=9, L=30, sparsity=(4, 3), snr_db=20.0, seed=0),
-        SyntheticSpec(M=0, N=9, L=30, sparsity=2, snr_db=20.0, seed=0),
-        SyntheticSpec(M=6, N=9, L=0, sparsity=2, snr_db=20.0, seed=0),
+    """Each is rejected when the spec is built, before any data is drawn."""
+    for fields in [
+        dict(M=6, N=9, L=30, sparsity=0),
+        dict(M=6, N=9, L=30, sparsity=10),
+        dict(M=6, N=9, L=30, sparsity=(4, 3)),
+        dict(M=0, N=9, L=30, sparsity=2),
+        dict(M=6, N=9, L=0, sparsity=2),
     ]:
         with pytest.raises(NonPositiveHyperparameter):
-            generate_synthetic(spec)
+            SyntheticSpec(**fields, snr_db=20.0, seed=0)
 
 
 def test_negative_seed_rejected():
     """A negative seed is a typed error, not numpy's raw ValueError."""
-    spec = SyntheticSpec(M=6, N=9, L=30, sparsity=2, snr_db=20.0, seed=-1)
     with pytest.raises(NonPositiveHyperparameter, match="^seed must be"):
-        generate_synthetic(spec)
+        SyntheticSpec(M=6, N=9, L=30, sparsity=2, snr_db=20.0, seed=-1)
