@@ -8,6 +8,7 @@ to exactly one dataset.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -17,9 +18,10 @@ from .errors import NonPositiveHyperparameter, ZeroSignal
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """sparsity is an int K or a (lo, hi) range for K_l drawn uniformly
-    from {lo, ..., hi}. Checked when built: 1 <= lo <= hi <= N, snr_db
-    > -inf (+inf is noiseless), M, N, L >= 1 and seed >= 0."""
+    """sparsity is an integer K or a (lo, hi) tuple of two integers for
+    K_l drawn uniformly from {lo, ..., hi}. Checked when built:
+    1 <= lo <= hi <= N, snr_db > -inf (+inf is noiseless), M, N, L >= 1
+    and seed >= 0."""
 
     M: int
     N: int
@@ -29,12 +31,14 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        lo, hi = (self.sparsity,) * 2 if isinstance(self.sparsity, int) \
-            else self.sparsity
-        if lo < 1 or hi < lo:
+        bounds = (self.sparsity,) * 2 \
+            if isinstance(self.sparsity, Integral) else self.sparsity
+        if not (isinstance(bounds, tuple) and len(bounds) == 2
+                and all(isinstance(k, Integral) for k in bounds)) \
+                or not 1 <= bounds[0] <= bounds[1]:
             raise NonPositiveHyperparameter(
                 "sparsity", self.sparsity, "a valid sparsity or (lo, hi) range")
-        if hi > self.N:
+        if bounds[1] > self.N:
             raise NonPositiveHyperparameter("sparsity", self.sparsity,
                                             f"at most N={self.N}")
         if not self.snr_db > -np.inf:  # also catches nan; +inf is noiseless
@@ -58,7 +62,7 @@ def snr_to_noise_std(clean: np.ndarray, snr_db: float) -> float:
 
 def generate_synthetic(spec: SyntheticSpec):
     """Returns (D_true, X_true, Y, sigma); pure function of spec."""
-    lo, hi = (spec.sparsity,) * 2 if isinstance(spec.sparsity, int) \
+    lo, hi = (spec.sparsity,) * 2 if isinstance(spec.sparsity, Integral) \
         else spec.sparsity
     rng = np.random.default_rng(spec.seed)
     D = rng.standard_normal((spec.M, spec.N))

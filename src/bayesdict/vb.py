@@ -54,6 +54,13 @@ LN_2PI = float(np.log(2.0 * np.pi))
 # N = 256); 16 and 64 ran no faster at N = 50 or 256. The means and
 # variances do not depend on it.
 _BLOCK = 32
+# Columns per right-hand-side GEMM of update_codes, <g> Y[:, chunk]' <D>.
+# A GEMM's bits for a row can depend on how many rows it has (a single
+# row goes through GEMV), so this is fixed apart from _BLOCK; chunks of
+# any multiple of 32 gave the whole L x N product's bits at 3/4/20,
+# 20/50/1000, 20/51/70 and 64/256 with L up to 62 001, on one and on
+# two BLAS threads.
+_RHS_COLUMNS = 64
 
 
 @dataclass
@@ -174,30 +181,35 @@ def update_codes(state: VBState, data: TrainingSet) -> int:
     of _BLOCK precisions into Sigma_l in RFP storage, solving for mu_l
     and summing log det P_l = -log det Sigma_l on the way; diag Sigma_l
     is a gather at the RFP diagonal and sum_l Sigma_l a sum of the rows,
-    unpacked once; no Sigma_l is formed in full. Returns the number of
-    columns whose precision took spd_factor's jitter path.
+    unpacked once; no Sigma_l is formed in full. The right-hand sides
+    <g> <D>' y_l are formed _RHS_COLUMNS columns at a time and solved in
+    place into mu_l. Returns the number of columns whose precision took
+    spd_factor's jitter path.
     """
     gamma_mean = state.gamma_shape / state.gamma_rate
     G = gamma_mean * _dtd(state)
-    mu = gamma_mean * (data.Y.T @ state.dict_mean)  # solved row by row
     layout = rows, cols, diag = _rfp_layout(G.shape[0])
     packed = G[rows, cols]
     cov_sum = np.zeros_like(packed)
     logdet_sum = 0.0
     fallbacks = 0
     stack = np.empty((min(_BLOCK, data.L), len(packed)))
-    for l0 in range(0, data.L, _BLOCK):
-        block = slice(l0, min(l0 + _BLOCK, data.L))
-        S = stack[:block.stop - l0]
-        S[:] = packed
-        alpha_mean = state.alpha_shape / state.alpha_rates[:, block]
-        count, logdet = _rfp_inverses(S, G, alpha_mean.T, layout,
-                                      lambda j: f"column {l0 + j}", mu[block])
-        fallbacks += count
-        logdet_sum -= logdet
-        state.code_vars[:, block] = S[:, diag].T
-        cov_sum += S.sum(axis=0)
-    state.code_means[:] = mu.T
+    for c0 in range(0, data.L, _RHS_COLUMNS):
+        chunk = slice(c0, min(c0 + _RHS_COLUMNS, data.L))
+        mu = gamma_mean * (data.Y[:, chunk].T @ state.dict_mean)
+        for l0 in range(c0, chunk.stop, _BLOCK):
+            block = slice(l0, min(l0 + _BLOCK, chunk.stop))
+            S = stack[:block.stop - l0]
+            S[:] = packed
+            alpha_mean = state.alpha_shape / state.alpha_rates[:, block]
+            count, logdet = _rfp_inverses(
+                S, G, alpha_mean.T, layout, lambda j: f"column {l0 + j}",
+                mu[l0 - c0:block.stop - c0])
+            fallbacks += count
+            logdet_sum -= logdet
+            state.code_vars[:, block] = S[:, diag].T
+            cov_sum += S.sum(axis=0)
+        state.code_means[:, chunk] = mu.T  # solved row by row
     state.code_cov_sum = _rfp_unpack(cov_sum, layout)
     state.code_logdet_sum = logdet_sum
     return fallbacks

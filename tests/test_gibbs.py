@@ -1,5 +1,6 @@
 """Sampler conditionals against analytic moments and independent kernels."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -198,22 +199,87 @@ def test_sample_codes_matches_packed_dppsv_oracle_near_kappa_max():
                       oracle=oracles.sample_codes_packed, rtol=1e-9)
 
 
-def test_sample_codes_names_the_column_dpftrf_rejects(monkeypatch):
-    """An RFP factorization failing in the 66th call (column 65, the
-    second block's second column) raises SingularPrecision naming it."""
-    base, data = fixed_problem(seed=23, M=4, N=6, L=70)
+def _assert_dpftrf_failure_named(monkeypatch, shape, column):
+    """dpftrf failing at `column` raises SingularPrecision naming it,
+    after exactly that many calls, and leaves no worker thread running."""
+    M, N, L = shape
+    base, data = fixed_problem(seed=23, M=M, N=N, L=L)
     real_dpftrf = scipy.linalg.lapack.dpftrf
     calls = []
 
     def failing(*args):
         a, info = real_dpftrf(*args)
         calls.append(1)
-        return a, 3 if len(calls) == 66 else info
+        return a, 3 if len(calls) == column + 1 else info
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", failing)
-    with pytest.raises(SingularPrecision, match=r"^column 65: "):
+    before = threading.active_count()
+    with pytest.raises(SingularPrecision, match=rf"^column {column}: "):
         sample_codes(clone(base), data)
-    assert len(calls) == 66
+    assert len(calls) == column + 1
+    assert threading.active_count() == before
+
+
+def test_sample_codes_names_the_column_dpftrf_rejects(monkeypatch):
+    """An RFP factorization failing at column 65, the second block's
+    second column, with each block's GEMM inline."""
+    _assert_dpftrf_failure_named(monkeypatch, (4, 6, 70), 65)
+
+
+def test_sample_codes_on_the_worker_names_the_column_dpftrf_rejects(
+        monkeypatch):
+    """The same at column 130, the third block's third, while the worker
+    forms the fourth block's systems."""
+    _assert_dpftrf_failure_named(monkeypatch, (64, 256, 300), 130)
+
+
+@pytest.mark.parametrize("shape, dense", [((20, 50, 200), True),
+                                          ((64, 256, 300), False),
+                                          ((8, 40, 130), True)])
+def test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
+                                                         dense):
+    """The worker only moves each block's system GEMM off the calling
+    thread, so forcing it on (_OVERLAP_MACS = 0) and off (inf) gives the
+    same draws, dense count and generator state, bit for bit. No L is a
+    multiple of _BLOCK, so each run ends on a short block."""
+    M, N, L = shape
+    base, data = fixed_problem(seed=22, M=M, N=N, L=L)
+    if dense:
+        force_dense_column(base)
+    runs = []
+    for macs in (0, np.inf):
+        monkeypatch.setattr(gibbs, "_OVERLAP_MACS", macs)
+        st = clone(base)
+        st.rng = np.random.default_rng(31)
+        runs.append((sample_codes(st, data), st.X, st.rng.standard_normal()))
+    (dense_on, X_on, next_on), (dense_off, X_off, next_off) = runs
+    assert dense_on == dense_off == int(dense)
+    np.testing.assert_array_equal(X_on, X_off)
+    assert next_on == next_off
+
+
+@pytest.mark.parametrize("shape, workers", [((20, 50, 200), 0),
+                                            ((64, 256, 300), 1)])
+def test_sample_codes_starts_a_worker_only_at_scale(monkeypatch, shape,
+                                                    workers):
+    """The bench cell's block GEMM (0.67M multiply-adds) runs inline and
+    starts no thread; the image-train shape's (34M) runs on exactly one
+    worker, which is gone when the call returns."""
+    M, N, L = shape
+    base, data = fixed_problem(seed=22, M=M, N=N, L=L)
+    real_dpftrf = scipy.linalg.lapack.dpftrf
+    counts = []
+
+    def counting(*args):
+        counts.append(threading.active_count())
+        return real_dpftrf(*args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
+    before = threading.active_count()
+    sample_codes(clone(base), data)
+    assert len(counts) == L
+    assert set(counts) == {before + workers}
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 20, 50, 64, 256])
@@ -284,11 +350,11 @@ def test_sample_codes_names_the_column_a_dense_draw_fails_on(monkeypatch):
 
 def test_sample_codes_at_image_scale_stays_compact():
     """64/256/3721, the image-train shape. The RFP K is 4.1 MiB; a
-    block's RFP systems 1.0 MiB. Measured peak traced allocation of one
-    call: 6.8 MiB with K gathered from the layout table M slots at a
-    time, against 12.3 MiB with one whole-width gather and 12.6 MiB when
-    every system was formed in full from an N x M^2 K. The bound leaves
-    ~15% of margin."""
+    block's RFP systems 1.0 MiB, in one of two buffers while the worker
+    fills the other. Measured peak traced allocation of one call: 7.2
+    MiB (6.8 MiB with one block's systems at a time and no worker),
+    against 12.3 MiB with one whole-width gather of K and 12.6 MiB when
+    every system was formed in full from an N x M^2 K."""
     state, data = fixed_problem(seed=24, M=64, N=256, L=3721)
     assert _traced_peak(lambda: sample_codes(state, data)) < 8 * 2**20
 

@@ -97,11 +97,25 @@ def test_invalid_specs_rejected():
         dict(M=6, N=9, L=30, sparsity=0),
         dict(M=6, N=9, L=30, sparsity=10),
         dict(M=6, N=9, L=30, sparsity=(4, 3)),
+        dict(M=6, N=9, L=30, sparsity=(1, 2, 3)),
+        dict(M=6, N=9, L=30, sparsity=3.0),
+        dict(M=6, N=9, L=30, sparsity=(2.0, 3)),
         dict(M=0, N=9, L=30, sparsity=2),
         dict(M=6, N=9, L=0, sparsity=2),
     ]:
         with pytest.raises(NonPositiveHyperparameter):
             SyntheticSpec(**fields, snr_db=20.0, seed=0)
+
+
+def test_numpy_integer_sparsity_is_a_single_sparsity():
+    """A NumPy integer K builds the same spec and data as the int K."""
+    spec = SyntheticSpec(M=6, N=9, L=30, sparsity=3, snr_db=20.0, seed=2)
+    np_spec = SyntheticSpec(M=6, N=9, L=30, sparsity=np.int64(3),
+                            snr_db=20.0, seed=2)
+    assert np_spec == spec
+    for got, want in zip(generate_synthetic(np_spec),
+                         generate_synthetic(spec)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_negative_seed_rejected():

@@ -552,6 +552,40 @@ def test_compute_elbo_at_image_scale_holds_two_n_by_l_arrays():
     assert peak < 2 * st.alpha_rates.nbytes + 2**20
 
 
+def _assert_same_code_moments(st, want):
+    for key in ("code_means", "code_vars", "code_cov_sum"):
+        np.testing.assert_array_equal(getattr(st, key), getattr(want, key),
+                                      err_msg=key)
+    assert st.code_logdet_sum == want.code_logdet_sum
+
+
+@pytest.mark.parametrize("M, N, L", [(20, 50, 1000), (20, 51, 70)])
+def test_update_codes_matches_whole_rhs_form(monkeypatch, M, N, L):
+    """Each chunk's right-hand side, one GEMM over _RHS_COLUMNS columns,
+    has the bits of the same rows of the whole L x N GEMM (one chunk of
+    L columns), so every moment is bit-equal to that form."""
+    st, data = image_scale_state(seed=35, M=M, N=N, L=L)
+    want = clone_vb(st)
+    assert update_codes(st, data) == 0
+    monkeypatch.setattr(vb, "_RHS_COLUMNS", L)
+    assert update_codes(want, data) == 0
+    _assert_same_code_moments(st, want)
+
+
+def test_update_codes_at_image_scale_holds_one_chunk_of_rhs(monkeypatch):
+    """64/256/3721: one chunk's 64 x N right-hand side next to the 8.0
+    MiB RFP stack, 10.3 MiB traced, against 17.6 MiB with the L x N
+    right-hand side of every column formed at once. The moments keep
+    the whole-matrix form's bits."""
+    st, data = image_scale_state()
+    want = clone_vb(st)
+    peak = _traced_peak(lambda: update_codes(st, data))
+    assert peak < 11 * 2**20
+    monkeypatch.setattr(vb, "_RHS_COLUMNS", data.L)
+    update_codes(want, data)
+    _assert_same_code_moments(st, want)
+
+
 def test_update_gamma_closed_form_and_density():
     rng, data = make_problem(M=3, N=4, L=5, seed=6)
     st = random_state(rng, 3, 4, 5)
