@@ -28,7 +28,6 @@ from .model import (
     VBState,
     initialize_gibbs_state,
     initialize_vb_state,
-    validate_config,
 )
 from .omp import (
     OmpStop,
@@ -65,5 +64,5 @@ __all__ = [
     "normalize_dictionary", "omp_encode", "psnr", "psnr_conventional",
     "reconstruction_error", "run_gibbs", "run_vb", "snr_to_noise_std",
     "update_alpha", "update_codes", "update_dictionary_atomwise",
-    "update_dictionary_full", "update_gamma", "validate_config",
+    "update_dictionary_full", "update_gamma",
 ]

@@ -5,6 +5,10 @@ grid), train (learn a dictionary from a matrix file or image patches),
 and denoise (OMP-code all stride-1 patches of a noisy image against a
 trained dictionary and average them back).
 
+main frames every command in COMMANDS: it resolves the settings through
+the command's schema function, runs the command into the output
+directory and writes the report; a BayesdictError exits 1.
+
 Every run writes a report.txt ([config], [metrics] and [artifacts]
 sections) plus a config_echo.cfg holding the complete resolved
 configuration; replaying that echo reproduces all output files byte for
@@ -44,7 +48,7 @@ from .metrics import (
     psnr_conventional,
     reconstruction_error,
 )
-from .model import ModelConfig, TrainingSet, validate_config
+from .model import ModelConfig, TrainingSet
 from .omp import OmpStop, batch_encode, normalize_dictionary
 from .patches import extract_patches, map_patches
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -77,7 +81,7 @@ def _engine_schema(engine: str) -> dict:
     return schema
 
 
-def _bench_schema(engine: str) -> dict:
+def _bench_schema(engine: str, given: dict) -> dict:
     schema = _engine_schema(engine)
     schema.update({
         "M": ("int", "20"),
@@ -107,22 +111,17 @@ def _train_schema(engine: str, given: dict) -> dict:
     return schema
 
 
-_DENOISE_SCHEMA = {
-    "dictionary": ("str", REQUIRED),
-    "input": ("str", REQUIRED),
-    "sigma": ("float", REQUIRED),
-    "gain": ("float", "1.15"),
-    "clean": ("str", ""),
-    "remove_dc": ("bool", "false"),
-}
+def _denoise_schema(engine: str, given: dict) -> dict:
+    return {"dictionary": ("str", REQUIRED), "input": ("str", REQUIRED),
+            "sigma": ("float", REQUIRED), "gain": ("float", "1.15"),
+            "clean": ("str", ""), "remove_dc": ("bool", "false")}
 
 
-def _model_config(resolved: dict, seed: int) -> ModelConfig:
+def _model_config(resolved: dict) -> ModelConfig:
     """A field the engine's schema omits keeps ModelConfig's default."""
     return ModelConfig(**{
         f.name: resolved[key] for f in fields(ModelConfig)
-        if (key := _KEYS.get(f.name, f.name)) in resolved
-        and f.name != "seed"}, seed=seed)
+        if (key := _KEYS.get(f.name, f.name)) in resolved})
 
 
 def _resolve_config(args, schema_for) -> dict:
@@ -201,10 +200,7 @@ def _finish(out_dir: Path, resolved: dict, metrics: dict, artifacts: list,
     return 0
 
 
-def cmd_bench_synthetic(args) -> int:
-    t0 = time.perf_counter()
-    resolved = _resolve_config(args,
-                               lambda engine, given: _bench_schema(engine))
+def cmd_bench_synthetic(resolved: dict, out_dir: Path):
     engine = resolved["engine"]
     if resolved["trials"] < 1:
         raise ConfigParseError("trials must be >= 1")
@@ -213,7 +209,7 @@ def cmd_bench_synthetic(args) -> int:
     if not (resolved["L_grid"] and resolved["snr_grid"] and resolved["k_grid"]):
         raise ConfigParseError("L_grid, snr_grid, and k_grid must be non-empty")
     # a setting every trial would fail on is rejected before the first
-    validate_config(_model_config(resolved, resolved["seed"]))
+    mcfg = _model_config(resolved)
     specs = [SyntheticSpec(M=resolved["M"], N=resolved["num_atoms"], L=L,
                            sparsity=k, snr_db=snr, seed=resolved["seed"])
              for L, snr, k in itertools.product(resolved["L_grid"],
@@ -233,8 +229,12 @@ def cmd_bench_synthetic(args) -> int:
         for t in range(resolved["trials"]):
             tseed = resolved["seed"] + t
             try:
-                rate = _bench_trial(resolved, engine,
-                                    replace(spec, seed=tseed))
+                D_true, _, Y, _ = generate_synthetic(
+                    replace(spec, seed=tseed))
+                D_hat, _, _ = _fit(engine, replace(mcfg, seed=tseed),
+                                   TrainingSet.from_matrix(Y))
+                rate = match_and_score(
+                    D_true, D_hat, resolved["success_threshold"]).success_rate
                 status = "ok"
                 rates.append(rate)
             except BayesdictError as exc:
@@ -245,33 +245,20 @@ def cmd_bench_synthetic(args) -> int:
         mean = float(np.mean(rates)) if rates else float("nan")
         table.append((*cell, resolved["trials"], len(rates), f"{mean:.6f}"))
         all_rates.extend(rates)
-    out_dir = Path(args.out)
     _write_tsv(out_dir / "bench_table.tsv", table)
     _write_tsv(out_dir / "bench_trials.tsv", per_trial)
 
-    metrics = {
+    # per-trial failures are nonfatal by contract; trials_failed counts them
+    return {
         "success_rate": float(np.mean(all_rates)) if all_rates
         else float("nan"),
         "cells": len(table) - 1,
         "trials_total": len(per_trial) - 1,
         "trials_failed": failures,
-    }
-    # per-trial failures are nonfatal by contract; they are counted above
-    return _finish(out_dir, resolved, metrics,
-                   ["bench_table.tsv", "bench_trials.tsv"], t0)
+    }, ["bench_table.tsv", "bench_trials.tsv"]
 
 
-def _bench_trial(resolved: dict, engine: str, spec: SyntheticSpec) -> float:
-    D_true, _, Y, _ = generate_synthetic(spec)
-    data = TrainingSet.from_matrix(Y)
-    D_hat, _, _ = _fit(engine, _model_config(resolved, spec.seed), data)
-    return match_and_score(D_true, D_hat,
-                           resolved["success_threshold"]).success_rate
-
-
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    resolved = _resolve_config(args, _train_schema)
+def cmd_train(resolved: dict, out_dir: Path):
     if "stride" in resolved:  # an image, cut into 8x8 patches
         Y = extract_patches(load_pgm(resolved["input"]), patch_size=8,
                             stride=resolved["stride"])
@@ -280,18 +267,15 @@ def cmd_train(args) -> int:
     if resolved["remove_dc"]:
         Y = Y - Y.mean(axis=0, keepdims=True)
     data = TrainingSet.from_matrix(Y)
-    mcfg = _model_config(resolved, resolved["seed"])
-
-    D, columns, metrics = _fit(resolved["engine"], mcfg, data)
-    out_dir = Path(args.out)
+    D, columns, metrics = _fit(resolved["engine"], _model_config(resolved),
+                               data)
     _write_tsv(out_dir / "trace.tsv",
                [("iter", *columns)]
                + [(i, *map(repr, row)) for i, row
                   in enumerate(zip(*columns.values()), start=1)])
     save_matrix(D, out_dir / "dictionary.txt")
     metrics["signals"] = data.L
-    return _finish(out_dir, resolved, metrics,
-                   ["dictionary.txt", "trace.tsv"], t0)
+    return metrics, ["dictionary.txt", "trace.tsv"]
 
 
 def _denoise(noisy, D, threshold, remove_dc):
@@ -323,9 +307,7 @@ def _denoise(noisy, D, threshold, remove_dc):
                       "mean_support": selected / coded}
 
 
-def cmd_denoise(args) -> int:
-    t0 = time.perf_counter()
-    resolved = _resolve_config(args, lambda engine, given: _DENOISE_SCHEMA)
+def cmd_denoise(resolved: dict, out_dir: Path):
     if resolved["sigma"] < 0:
         raise ConfigParseError("sigma must be >= 0")
     if resolved["gain"] <= 0:
@@ -353,7 +335,6 @@ def cmd_denoise(args) -> int:
         raise ShapeMismatch(
             f"--clean image is {clean.shape}, input is {noisy.shape}")
     denoised, metrics = _denoise(noisy, D, threshold, resolved["remove_dc"])
-    out_dir = Path(args.out)
     save_pgm(denoised, out_dir / "denoised.pgm")
     if clean is not None:
         metrics["psnr"] = psnr(clean, denoised)
@@ -362,7 +343,14 @@ def cmd_denoise(args) -> int:
         metrics["psnr_conventional_noisy"] = psnr_conventional(clean, noisy)
         metrics["psnr_gain_db"] = metrics["psnr_conventional"] \
             - metrics["psnr_conventional_noisy"]
-    return _finish(out_dir, resolved, metrics, ["denoised.pgm"], t0)
+    return metrics, ["denoised.pgm"]
+
+
+COMMANDS = {  # name -> (schema function, command)
+    "bench-synthetic": (_bench_schema, cmd_bench_synthetic),
+    "train": (_train_schema, cmd_train),
+    "denoise": (_denoise_schema, cmd_denoise),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian dictionary learning: synthetic recovery "
                     "benchmark, dictionary training, and patch denoising.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("bench-synthetic", "train", "denoise"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         # denoise still parses the engine flags, so that _resolve_config
         # can reject them by name, but its --help does not offer them
@@ -398,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "bench-synthetic": cmd_bench_synthetic,
-        "train": cmd_train,
-        "denoise": cmd_denoise,
-    }
+    schema_for, command = COMMANDS[args.command]
+    t0 = time.perf_counter()
     try:
-        return handlers[args.command](args)
+        resolved = _resolve_config(args, schema_for)
+        out_dir = Path(args.out)
+        metrics, artifacts = command(resolved, out_dir)
+        return _finish(out_dir, resolved, metrics, artifacts, t0)
     except BayesdictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

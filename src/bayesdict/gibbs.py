@@ -22,15 +22,17 @@ number, so columns with kappa_l above _KAPPA_MAX are drawn by a dense
 N x N Cholesky factorization instead; ChainTrace counts them per sweep.
 After every sweep a non-finite gamma, D or X raises NonFinite.
 
-When a call has more than one block and one block's GEMM holds at least
-_OVERLAP_MACS multiply-adds, one worker thread forms block k + 1's
-systems while the calling thread factors block k's. The worker runs a
-single np.matmul, which releases the GIL for its whole run; scipy's
-LAPACK wrappers hold it, so the per-column loop stays on the caller.
-It is one OS thread beyond any the BLAS starts, it lives for one call,
-and every draw is bit-identical to running the GEMMs inline.
+When a call has more than one block, one block's GEMM holds at least
+_OVERLAP_MACS multiply-adds and the process may run on at least two
+CPUs, one worker thread forms block k + 1's systems while the calling
+thread factors block k's. The worker runs a single np.matmul, which
+releases the GIL for its whole run; scipy's LAPACK wrappers hold it, so
+the per-column loop stays on the caller. It is one OS thread beyond any
+the BLAS starts, it lives for one call, and every draw is bit-identical
+to running the GEMMs inline.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +51,6 @@ from .model import (
     _atom_sweep,
     initialize_gibbs_state,
     parse_estimate_mode,
-    validate_config,
 )
 
 # a Python float, so a gamma clamped to it is written as a plain number
@@ -65,7 +66,8 @@ _BLOCK = 64
 # Xeon guest, at 64/256 (34M per block) one call took 101-135 ms
 # against 160-222 ms inline; at 20/50 (0.67M) the handoffs cost more
 # than the overlap saves, and the worker made 100-sweep chains ~10%
-# slower (median of 8, 0.78 against 0.70 s).
+# slower (median of 8, 0.78 against 0.70 s). On one usable CPU there is
+# nothing to overlap: a call at 64/256 then read up to +41%.
 _OVERLAP_MACS = 2**23
 # kappa_l above this sends a column to the dense draw: the data-space
 # mean's relative error grows like eps * kappa_l (1e-11 at kappa 1e5,
@@ -105,13 +107,11 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
     N normals instead. Returns the number of such columns. A failure of
     either draw raises SingularPrecision starting "column <l>: ".
 
-    With more than one block and _BLOCK * N * M(M+1)/2 >= _OVERLAP_MACS
-    (the image-train shape, not the bench cell), each block's GEMM runs
-    on one worker thread into one of two preallocated buffers, overlapped
-    with the previous block's dpftrf/dpftrs loop; the worker's only job
-    is that one np.matmul, the one call here that releases the GIL. The
-    worker is one extra OS thread, joined before the call returns or
-    raises, and the draws are bit-identical to the inline order.
+    With more than one block, _BLOCK * N * M(M+1)/2 >= _OVERLAP_MACS
+    (the image-train shape, not the bench cell) and two usable CPUs, each
+    block's GEMM runs on the module docstring's worker thread into one
+    of two preallocated buffers; it is joined before the call returns or
+    raises.
     """
     from scipy.linalg.lapack import dpftrf, dpftrs
 
@@ -131,7 +131,8 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
     # factors block k - 1's in the other one
     buffers = np.empty((2, blocks[0].stop, len(rows)))
     worker = None
-    if len(blocks) > 1 and _BLOCK * N * len(rows) >= _OVERLAP_MACS:
+    if len(blocks) > 1 and _BLOCK * N * len(rows) >= _OVERLAP_MACS \
+            and _usable_cpus() >= 2:
         from concurrent.futures import ThreadPoolExecutor
         worker = ThreadPoolExecutor(max_workers=1)
 
@@ -189,6 +190,13 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
         if worker is not None:
             worker.shutdown()  # waits for a GEMM still running
     return n_dense
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _dense_draw(G: np.ndarray, c: np.ndarray, alpha_col: np.ndarray,
@@ -262,7 +270,6 @@ def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsSta
     With thinning k, every k-th post-burn-in sample is kept, starting
     with the first one.
     """
-    validate_config(cfg)
     state = initialize_gibbs_state(cfg, data)
     trace = ChainTrace()
     for t in range(1, cfg.max_iters + 1):

@@ -27,10 +27,13 @@ from .errors import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Prior hyperparameters and run budgets. Only VB reads tol; only
     Gibbs reads burn_in, thinning and dict_estimate_mode.
+
+    Frozen and checked when built, by the constructor and by
+    dataclasses.replace, so the engines need not check it again.
 
     a, b       : shape / rate of the Gamma prior on each coefficient
                  precision alpha_nl.
@@ -59,6 +62,27 @@ class ModelConfig:
     seed: int = 0
     thinning: int = 1
     dict_estimate_mode: str = "last_sample"
+
+    def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            v = getattr(self, name)
+            if not 0 < v < np.inf:  # also catches nan
+                raise NonPositiveHyperparameter(name, v, "finite and positive")
+        if not self.beta > 0:  # inf is allowed: a flat dictionary prior
+            raise NonPositiveHyperparameter("beta", self.beta)
+        for name in ("num_atoms", "max_iters", "thinning"):
+            v = getattr(self, name)
+            if v < 1:
+                raise NonPositiveHyperparameter(name, v, "a positive integer")
+        for name in ("burn_in", "tol", "seed"):
+            v = getattr(self, name)
+            if not v >= 0:  # also catches a nan tol
+                raise NonPositiveHyperparameter(name, v, "non-negative")
+        if self.burn_in >= self.max_iters:
+            raise BurnInExceedsIterations(
+                f"burn_in={self.burn_in} must be smaller than "
+                f"max_iters={self.max_iters}")
+        parse_estimate_mode(self.dict_estimate_mode)
 
 
 @dataclass(frozen=True)
@@ -155,34 +179,6 @@ def parse_estimate_mode(mode: str) -> int:
     raise ConfigParseError(
         f"dict_estimate_mode must be 'last_sample' or 'average_tail(k)', "
         f"got {mode!r}")
-
-
-def validate_config(cfg: ModelConfig) -> ModelConfig:
-    """Check every ModelConfig invariant; the config alone decides them.
-
-    Returns cfg unchanged on success so call sites can chain it.
-    """
-    for name in ("a", "b", "c", "d"):
-        v = getattr(cfg, name)
-        if not 0 < v < np.inf:  # also catches nan
-            raise NonPositiveHyperparameter(name, v, "finite and positive")
-    if not cfg.beta > 0:  # inf is allowed: a flat dictionary prior
-        raise NonPositiveHyperparameter("beta", cfg.beta)
-    for name in ("num_atoms", "max_iters", "thinning"):
-        v = getattr(cfg, name)
-        if v < 1:
-            raise NonPositiveHyperparameter(name, v, "a positive integer")
-    if cfg.burn_in < 0:
-        raise NonPositiveHyperparameter("burn_in", cfg.burn_in, "non-negative")
-    if not cfg.tol >= 0:
-        raise NonPositiveHyperparameter("tol", cfg.tol, "non-negative")
-    if cfg.seed < 0:
-        raise NonPositiveHyperparameter("seed", cfg.seed, "non-negative")
-    if cfg.burn_in >= cfg.max_iters:
-        raise BurnInExceedsIterations(
-            f"burn_in={cfg.burn_in} must be smaller than max_iters={cfg.max_iters}")
-    parse_estimate_mode(cfg.dict_estimate_mode)
-    return cfg
 
 
 def _init_dictionary(Y: np.ndarray, num_atoms: int,

@@ -71,7 +71,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, NonFinite, NonPositiveHyperparameter
 
 STALL_REL = 1e-12
 _BLOCK = 256
@@ -86,15 +86,20 @@ class OmpStop:
 
     def __post_init__(self):
         if self.max_sparsity is None and self.residual_threshold is None:
-            raise ValueError("OmpStop needs max_sparsity or residual_threshold")
+            raise NonPositiveHyperparameter(
+                "max_sparsity or residual_threshold", None, "set")
         if self.max_sparsity is not None and not (
                 isinstance(self.max_sparsity, Integral)
                 and self.max_sparsity >= 1):
-            raise ValueError("max_sparsity must be a positive integer")
-        # written as not >= so that nan is rejected too
+            raise NonPositiveHyperparameter(
+                "max_sparsity", self.max_sparsity, "a positive integer")
+        # written as a negated range so that nan is rejected too; an inf
+        # threshold would code every column with no atom
         if self.residual_threshold is not None \
-                and not self.residual_threshold >= 0:
-            raise ValueError("residual_threshold must be >= 0")
+                and not 0 <= self.residual_threshold < np.inf:
+            raise NonPositiveHyperparameter(
+                "residual_threshold", self.residual_threshold,
+                "finite and non-negative")
 
 
 @dataclass

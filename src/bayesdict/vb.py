@@ -37,7 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeResidual, NonFinite, SingularPrecision
+from .errors import (
+    ConfigParseError,
+    NegativeResidual,
+    NonFinite,
+    SingularPrecision,
+)
 from .linalg import _rfp_layout, _rfp_unpack, spd_factor, spd_logdet
 from .model import (
     ModelConfig,
@@ -45,7 +50,6 @@ from .model import (
     VBState,
     _atom_sweep,
     initialize_vb_state,
-    validate_config,
 )
 
 LN_2PI = float(np.log(2.0 * np.pi))
@@ -87,17 +91,17 @@ def code_second_moments(state: VBState) -> np.ndarray:
     return x_sq
 
 
-def _dtd(state: VBState) -> np.ndarray:
-    """<D'D> = <D>'<D> + M dict_row_cov, symmetrized."""
-    M = state.dict_mean.shape[0]
-    dtd = state.dict_mean.T @ state.dict_mean + M * state.dict_row_cov
+def _dtd(state: VBState, DD=None) -> np.ndarray:
+    """<D'D> = <D>'<D> + M dict_row_cov, symmetrized; DD is <D>'<D>."""
+    D = state.dict_mean
+    dtd = (D.T @ D if DD is None else DD) + D.shape[0] * state.dict_row_cov
     return 0.5 * (dtd + dtd.T)
 
 
-def _x_outer(state: VBState) -> np.ndarray:
-    """<XX'> = <X><X>' + sum_l Sigma_l, symmetrized."""
-    x_mean = state.code_means
-    x_outer = x_mean @ x_mean.T + state.code_cov_sum
+def _x_outer(state: VBState, XX=None) -> np.ndarray:
+    """<XX'> = <X><X>' + sum_l Sigma_l, symmetrized; XX is <X><X>'."""
+    X = state.code_means
+    x_outer = (X @ X.T if XX is None else XX) + state.code_cov_sum
     return 0.5 * (x_outer + x_outer.T)
 
 
@@ -125,9 +129,10 @@ def expected_residual(state: VBState, data: TrainingSet) -> float:
     D, X = state.dict_mean, state.code_means
     fit = D @ X  # becomes Y - <D><X>, then its square, in place
     np.subtract(data.Y, fit, out=fit)
+    DD, XX = D.T @ D, X @ X.T
     resid = (float(np.sum(np.square(fit, out=fit)))
-             + float(np.sum(_dtd(state) * _x_outer(state)))
-             - float(np.sum((D.T @ D) * (X @ X.T))))
+             + float(np.sum(_dtd(state, DD) * _x_outer(state, XX)))
+             - float(np.sum(DD * XX)))
     if resid < 0.0:
         floor = -1e-8 * float(np.sum(data.Y ** 2))
         if resid < floor:
@@ -358,8 +363,7 @@ def run_vb(cfg: ModelConfig, data: TrainingSet,
     the budget is a normal outcome, left on the trace as converged=False.
     """
     if variant not in ("full", "atomwise"):
-        raise ValueError(f"unknown variant {variant!r}")
-    validate_config(cfg)
+        raise ConfigParseError(f"unknown variant {variant!r}")
     state = initialize_vb_state(cfg, data)
     trace = VBTrace()
     for sweep in range(cfg.max_iters):

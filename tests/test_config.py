@@ -54,6 +54,8 @@ def test_value_kind_errors():
         parse_value("int", "3.5", "k")
     with pytest.raises(ConfigParseError):
         parse_value("float", "nan", "k")
+    with pytest.raises(ConfigParseError, match="^k: not a number: 'abc'$"):
+        parse_value("float", "abc", "k")
     with pytest.raises(ConfigParseError):
         parse_value("bool", "maybe", "k")
     with pytest.raises(ConfigParseError):

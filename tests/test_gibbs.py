@@ -199,6 +199,13 @@ def test_sample_codes_matches_packed_dppsv_oracle_near_kappa_max():
                       oracle=oracles.sample_codes_packed, rtol=1e-9)
 
 
+def _set_usable_cpus(monkeypatch, cpus):
+    """Make the process's affinity mask read as `cpus`, so the worker's
+    CPU condition does not depend on the host."""
+    monkeypatch.setattr(gibbs.os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
 def _assert_dpftrf_failure_named(monkeypatch, shape, column):
     """dpftrf failing at `column` raises SingularPrecision naming it,
     after exactly that many calls, and leaves no worker thread running."""
@@ -230,6 +237,7 @@ def test_sample_codes_on_the_worker_names_the_column_dpftrf_rejects(
         monkeypatch):
     """The same at column 130, the third block's third, while the worker
     forms the fourth block's systems."""
+    _set_usable_cpus(monkeypatch, {0, 1})
     _assert_dpftrf_failure_named(monkeypatch, (64, 256, 300), 130)
 
 
@@ -246,6 +254,7 @@ def test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
     base, data = fixed_problem(seed=22, M=M, N=N, L=L)
     if dense:
         force_dense_column(base)
+    _set_usable_cpus(monkeypatch, {0, 1})
     runs = []
     for macs in (0, np.inf):
         monkeypatch.setattr(gibbs, "_OVERLAP_MACS", macs)
@@ -275,11 +284,52 @@ def test_sample_codes_starts_a_worker_only_at_scale(monkeypatch, shape,
         return real_dpftrf(*args)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
+    _set_usable_cpus(monkeypatch, {0, 1})
     before = threading.active_count()
     sample_codes(clone(base), data)
     assert len(counts) == L
     assert set(counts) == {before + workers}
     assert threading.active_count() == before
+
+
+def test_sample_codes_on_one_cpu_runs_inline(monkeypatch):
+    """A process that may use one CPU has nothing to overlap, so the
+    image-train shape starts no worker there, and its draws, dense count
+    and generator state equal the inline path's (_OVERLAP_MACS = inf on
+    two CPUs) bit for bit."""
+    base, data = fixed_problem(seed=22, M=64, N=256, L=300)
+    real_dpftrf = scipy.linalg.lapack.dpftrf
+    counts = []
+
+    def counting(*args):
+        counts.append(threading.active_count())
+        return real_dpftrf(*args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
+    before = threading.active_count()
+    runs = []
+    for cpus, macs in (({0}, gibbs._OVERLAP_MACS), ({0, 1}, np.inf)):
+        _set_usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(gibbs, "_OVERLAP_MACS", macs)
+        st = clone(base)
+        st.rng = np.random.default_rng(31)
+        runs.append((sample_codes(st, data), st.X, st.rng.standard_normal()))
+    assert set(counts) == {before}
+    (dense_one, X_one, next_one), (dense_inline, X_inline, next_inline) = runs
+    assert dense_one == dense_inline
+    np.testing.assert_array_equal(X_one, X_inline)
+    assert next_one == next_inline
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    """Where the OS has no affinity call, every CPU counts."""
+    _set_usable_cpus(monkeypatch, {3})
+    assert gibbs._usable_cpus() == 1
+    monkeypatch.delattr(gibbs.os, "sched_getaffinity")
+    monkeypatch.setattr(gibbs.os, "cpu_count", lambda: 2)
+    assert gibbs._usable_cpus() == 2
+    monkeypatch.setattr(gibbs.os, "cpu_count", lambda: None)
+    assert gibbs._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 20, 50, 64, 256])

@@ -269,6 +269,14 @@ def test_pgm_rejections(tmp_path):
     with pytest.raises(MalformedHeader):
         load_pgm(path)
 
+    path.write_bytes(b"P5\n2 2\n255")  # no whitespace before the raster
+    with pytest.raises(MalformedHeader, match="not followed by whitespace"):
+        load_pgm(path)
+
+    path.write_bytes(b"P5\n0 2\n255\n")
+    with pytest.raises(MalformedHeader, match="^bad PGM dimensions 0x2$"):
+        load_pgm(path)
+
 
 def test_pgm_comment_running_to_end_of_file_ends_header_early(tmp_path):
     """A header cut off inside a comment has no token to give."""
@@ -281,6 +289,13 @@ def test_pgm_comment_running_to_end_of_file_ends_header_early(tmp_path):
 def test_save_pgm_rejects_non_2d(tmp_path):
     with pytest.raises(MalformedHeader):
         save_pgm(np.zeros(4), tmp_path / "x.pgm")
+
+
+def test_save_matrix_rejects_non_2d(tmp_path):
+    with pytest.raises(MalformedHeader,
+                       match="^matrix must be 2-d, got ndim=1$"):
+        save_matrix(np.zeros(4), tmp_path / "x.txt")
+    assert not (tmp_path / "x.txt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +346,7 @@ def test_matrix_malformed_inputs(tmp_path):
         "-1 2\n",                  # negative dims
         "2 2\n1 2\n3 # 4\n",      # a comment is not a value
         "1 2\n1_0 2\n",            # float() takes it, the format does not
+        "2.0 2\n1 2\n3 4\n",       # non-integer dimensions
     ]
     for text in cases:
         path.write_text(text)

@@ -168,6 +168,8 @@ def test_psnr_identical_images_is_inf():
 def test_psnr_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         psnr(np.zeros((2, 2)), np.zeros((3, 3)))
+    with pytest.raises(ShapeMismatch):
+        psnr_conventional(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 def test_reconstruction_error():

@@ -1,5 +1,7 @@
 """Configuration validation, training-set construction, and state init."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from bayesdict import (
     TrainingSet,
     initialize_gibbs_state,
     initialize_vb_state,
-    validate_config,
 )
 from bayesdict.errors import (
     BurnInExceedsIterations,
@@ -51,43 +52,53 @@ def test_training_set_coerces_and_checks():
 @pytest.mark.parametrize("field", ["a", "b", "c", "d", "beta"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
 def test_positivity_validation(field, bad):
-    cfg = ModelConfig(num_atoms=4, **{field: bad})
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(cfg)
+        ModelConfig(num_atoms=4, **{field: bad})
 
 
 @pytest.mark.parametrize("field", ["a", "b", "c", "d"])
 def test_infinite_gamma_hyperparameters_rejected(field):
     """A Gamma shape or rate of inf makes a degenerate prior (a = inf
     pins every code at 0); only beta may be inf."""
-    cfg = ModelConfig(num_atoms=4, **{field: float("inf")})
     with pytest.raises(NonPositiveHyperparameter, match=f"^{field} must be"):
-        validate_config(cfg)
+        ModelConfig(num_atoms=4, **{field: float("inf")})
 
 
 def test_beta_inf_is_allowed():
-    validate_config(ModelConfig(num_atoms=4, beta=float("inf")))
+    ModelConfig(num_atoms=4, beta=float("inf"))
 
 
 def test_integer_field_validation():
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=0))
+        ModelConfig(num_atoms=0)
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, max_iters=0))
+        ModelConfig(num_atoms=4, max_iters=0)
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, burn_in=-1))
+        ModelConfig(num_atoms=4, burn_in=-1)
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, thinning=0))
+        ModelConfig(num_atoms=4, thinning=0)
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, seed=-1))
+        ModelConfig(num_atoms=4, seed=-1)
     with pytest.raises(NonPositiveHyperparameter):
-        validate_config(ModelConfig(num_atoms=4, tol=-0.5))
+        ModelConfig(num_atoms=4, tol=-0.5)
 
 
 def test_burn_in_must_leave_samples():
     with pytest.raises(BurnInExceedsIterations):
-        validate_config(ModelConfig(num_atoms=4, max_iters=10, burn_in=10))
-    validate_config(ModelConfig(num_atoms=4, max_iters=10, burn_in=9))
+        ModelConfig(num_atoms=4, max_iters=10, burn_in=10)
+    ModelConfig(num_atoms=4, max_iters=10, burn_in=9)
+
+
+def test_model_config_is_frozen_and_replace_rechecks():
+    cfg = ModelConfig(num_atoms=4, max_iters=10)
+    with pytest.raises(FrozenInstanceError):
+        cfg.burn_in = 10
+    assert replace(cfg, seed=7).seed == 7
+    with pytest.raises(BurnInExceedsIterations,
+                       match="^burn_in=10 must be smaller than max_iters=10$"):
+        replace(cfg, burn_in=10)
+    with pytest.raises(ConfigParseError, match="^dict_estimate_mode must be"):
+        replace(cfg, dict_estimate_mode="average_tail(0)")
 
 
 def test_empty_training_set_rejected():

@@ -11,22 +11,28 @@ from hypothesis.extra import numpy as hnp
 
 from bayesdict import OmpStop, batch_encode, normalize_dictionary, omp_encode
 from bayesdict import omp
-from bayesdict.errors import DimensionMismatch, NonFinite
+from bayesdict.errors import (
+    DimensionMismatch,
+    NonFinite,
+    NonPositiveHyperparameter,
+)
 from bayesdict.patches import extract_patches
 import bench_inputs
 import oracles
 
 
 def test_stop_rule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPositiveHyperparameter,
+                       match="^max_sparsity or residual_threshold must be"):
         OmpStop()
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPositiveHyperparameter, match="^max_sparsity "):
         OmpStop(max_sparsity=0)
-    with pytest.raises(ValueError):
-        OmpStop(residual_threshold=-1.0)
-    with pytest.raises(ValueError):
-        OmpStop(residual_threshold=float("nan"))
-    with pytest.raises(ValueError):
+    # an inf threshold would code every column with no atom
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(NonPositiveHyperparameter,
+                           match="^residual_threshold must be finite"):
+            OmpStop(residual_threshold=bad)
+    with pytest.raises(NonPositiveHyperparameter, match="^max_sparsity "):
         OmpStop(max_sparsity=2.5)
     OmpStop(max_sparsity=3)
     OmpStop(max_sparsity=np.int64(3))
@@ -279,6 +285,8 @@ def test_reconstruct_applies_normalized_atoms():
 def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
         omp_encode(np.eye(3), np.zeros(4), OmpStop(max_sparsity=1))
+    with pytest.raises(DimensionMismatch):
+        omp_encode(np.eye(3), np.zeros((3, 1)), OmpStop(max_sparsity=1))
     with pytest.raises(DimensionMismatch):
         batch_encode(np.eye(3), np.zeros((4, 2)), OmpStop(max_sparsity=1))
 

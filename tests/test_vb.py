@@ -21,7 +21,12 @@ from bayesdict import (
     update_gamma,
 )
 from bayesdict import vb
-from bayesdict.errors import NegativeResidual, SingularPrecision
+from bayesdict.errors import (
+    ConfigParseError,
+    NegativeResidual,
+    NonFinite,
+    SingularPrecision,
+)
 from bayesdict.linalg import JITTER_SCALE
 from bayesdict.model import VBState
 from bayesdict.vb import code_second_moments, expected_residual
@@ -820,6 +825,23 @@ def test_elbo_monotone_under_coordinate_updates(variant):
         assert last >= e3 - 1e-8 * abs(e3)
 
 
+def test_compute_elbo_names_the_terms_of_a_non_finite_bound():
+    """A noise-precision rate of inf makes E[ln gamma] = -inf, so the
+    likelihood term is -inf, the gamma prior term +inf and their sum
+    nan: compute_elbo raises, naming every term, rather than return it."""
+    rng = np.random.default_rng(20)
+    data = TrainingSet.from_matrix(rng.standard_normal((4, 10)))
+    cfg = ModelConfig(num_atoms=3)
+    st = initialize_vb_state(cfg, data)
+    st.gamma_rate = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NonFinite, match=r"^non-finite bound, terms: \{") as exc:
+        compute_elbo(st, data, cfg)
+    for term in ("lik", "lp_x", "lp_alpha", "lp_d", "lp_gamma", "h_x", "h_d",
+                 "h_alpha", "h_gamma"):
+        assert f"'{term}': " in str(exc.value)
+
+
 def test_elbo_drops_when_code_covariance_is_perturbed():
     """update_codes maximizes the bound over q(X); any inflation loses."""
     rng = np.random.default_rng(19)
@@ -894,5 +916,6 @@ def test_run_vb_fits_noiseless_square_system():
 def test_run_vb_rejects_unknown_variant():
     rng = np.random.default_rng(13)
     data = TrainingSet.from_matrix(rng.standard_normal((3, 6)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigParseError,
+                       match="^unknown variant 'blockwise'$"):
         run_vb(ModelConfig(num_atoms=3), data, variant="blockwise")
