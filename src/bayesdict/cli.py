@@ -60,18 +60,17 @@ _KEYS = {"max_iters": "iters"}  # ModelConfig field -> config key, if renamed
 
 def _engine_schema(engine: str) -> dict:
     """Keys shared by the engine commands: engine, and every ModelConfig
-    field but num_atoms that the engine reads (tol only for VB; burn_in,
-    thinning and dict_estimate_mode only for Gibbs), with ModelConfig's
-    default (max_iters under the key iters). Gibbs overrides two: beta=1
-    instead of the VB engines' diffuse atom prior 1e8, and 300 sweeps
-    instead of 500."""
+    field but num_atoms that the engine reads (tol only for VB,
+    dict_estimate_mode only for Gibbs), with ModelConfig's default
+    (max_iters under the key iters). Gibbs overrides two: beta=1 instead
+    of the VB engines' diffuse atom prior 1e8, and 300 sweeps instead of
+    500."""
     if engine not in ENGINES:
         raise ConfigParseError(
             f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
     gibbs = engine == "gibbs"
     overrides = {"beta": 1.0, "max_iters": 300} if gibbs else {}
-    unread = ("tol",) if gibbs else ("burn_in", "thinning",
-                                      "dict_estimate_mode")
+    unread = ("tol",) if gibbs else ("dict_estimate_mode",)
     schema = {"engine": ("str", ENGINES[0])}
     for f in fields(ModelConfig):
         if f.name not in ("num_atoms", *unread):
@@ -157,7 +156,6 @@ def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
                    "gamma": trace.gamma_per_iter}
         metrics = {
             "iterations_run": mcfg.max_iters,
-            "kept_samples": len(trace.kept_dicts),
             "final_residual": trace.residual_per_iter[-1],
             "dense_fallback_columns": sum(trace.dense_fallback_per_iter),
         }
@@ -371,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=engine_help)
         sp.add_argument("--iters", type=int, default=None, metavar="N",
                         help=engine_help)
-        sp.add_argument("--burn-in", dest="burn_in", type=int, default=None,
-                        metavar="N", help=engine_help)
         sp.add_argument("--out", default="out", metavar="DIR")
         if name == "train":
             sp.add_argument("--stride", type=int, default=None, metavar="N",

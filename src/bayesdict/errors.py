@@ -16,10 +16,6 @@ class NonPositiveHyperparameter(BayesdictError):
         super().__init__(f"{field} must be {requirement}, got {value!r}")
 
 
-class BurnInExceedsIterations(BayesdictError):
-    pass
-
-
 class EmptyTrainingSet(BayesdictError):
     pass
 

@@ -83,7 +83,8 @@ _DRAW_CHUNK = 2**16
 
 @dataclass
 class ChainTrace:
-    """Kept dictionary samples plus per-iteration diagnostics."""
+    """D after each of the last k sweeps, the ones the estimate averages
+    (so kept_dicts[-1] is the final D), plus per-sweep diagnostics."""
 
     kept_dicts: list = field(default_factory=list)
     residual_per_iter: list = field(default_factory=list)
@@ -205,15 +206,14 @@ def _dense_draw(G: np.ndarray, c: np.ndarray, alpha_col: np.ndarray,
 
     Factors P = LL' under spd_factor's jitter policy and returns
     L'^-1 (L^-1 c + z) = P^-1 c + L'^-1 z, so no covariance is formed.
+    Both solves call dtrtrs, the LAPACK routine solve_triangular wraps.
     """
-    import scipy.linalg
+    from scipy.linalg.lapack import dtrtrs
 
-    P = G.copy()
-    P[np.diag_indices_from(P)] += alpha_col
-    (chol, _), _ = spd_factor(P)
-    w = scipy.linalg.solve_triangular(chol, c, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(chol, w + z, lower=True, trans=1,
-                                         check_finite=False)
+    chol, _ = spd_factor(G + np.diag(alpha_col))
+    w, _ = dtrtrs(chol, c, lower=1)
+    x, _ = dtrtrs(chol, w + z, lower=1, trans=1)
+    return x
 
 
 def sample_atoms(state: GibbsState, data: TrainingSet, beta: float) -> None:
@@ -265,13 +265,12 @@ def sample_gamma(state: GibbsState, data: TrainingSet,
 
 
 def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsState]:
-    """Run the chain for max_iters sweeps, keeping dictionaries after burn-in.
-
-    With thinning k, every k-th post-burn-in sample is kept, starting
-    with the first one.
-    """
+    """Run the chain for max_iters sweeps, keeping D after each of the
+    last k = parse_estimate_mode(cfg.dict_estimate_mode), the ones
+    estimate_dictionary averages."""
     state = initialize_gibbs_state(cfg, data)
     trace = ChainTrace()
+    k = parse_estimate_mode(cfg.dict_estimate_mode)
     for t in range(1, cfg.max_iters + 1):
         n_dense = sample_codes(state, data)
         sample_atoms(state, data, cfg.beta)
@@ -281,7 +280,7 @@ def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsSta
         trace.residual_per_iter.append(float(np.sqrt(sq_resid)))
         trace.gamma_per_iter.append(state.gamma)
         trace.dense_fallback_per_iter.append(n_dense)
-        if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
+        if t > cfg.max_iters - k:
             trace.kept_dicts.append(state.D.copy())
     return trace, state
 
@@ -296,7 +295,8 @@ def _check_finite(state: GibbsState, sweep: int) -> None:
 
 
 def estimate_dictionary(trace: ChainTrace, mode: str) -> np.ndarray:
-    """The mean of the last k kept samples (k = 1 for last_sample)."""
+    """The mean of the last k kept samples (k = 1 for last_sample). A
+    caller may hand in any trace, so an empty or short one raises."""
     k = parse_estimate_mode(mode)
     if not trace.kept_dicts:
         raise EmptyTrace("no dictionary samples were kept")

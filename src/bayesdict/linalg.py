@@ -20,25 +20,25 @@ JITTER_SCALE = 1e-10
 def spd_factor(P: np.ndarray):
     """Cholesky-factor an SPD matrix with the one-shot jitter policy.
 
-    Returns a (cho_factor, logdet_of_P) pair; the factor is lower
-    triangular, for scipy.linalg.solve_triangular or cho_solve.
+    Returns (chol, logdet_of_P): the lower factor is chol's lower
+    triangle, and its strict upper triangle is not zeroed.
     """
     import scipy.linalg
 
     try:
-        c, low = scipy.linalg.cho_factor(P, lower=True, check_finite=False)
+        chol, _ = scipy.linalg.cho_factor(P, lower=True, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError):
         n = P.shape[0]
         jitter = JITTER_SCALE * np.trace(P) / n
         try:
-            c, low = scipy.linalg.cho_factor(
+            chol, _ = scipy.linalg.cho_factor(
                 P + jitter * np.eye(n), lower=True, check_finite=False)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise SingularPrecision(
                 f"{n}x{n} precision matrix not positive definite "
                 f"after jitter {jitter:g}") from exc
-    logdet = 2.0 * np.sum(np.log(np.diag(c)))
-    return (c, low), logdet
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return chol, logdet
 
 
 def spd_logdet(S: np.ndarray) -> float:

@@ -17,20 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BurnInExceedsIterations,
     ConfigParseError,
     DimensionMismatch,
     EmptyTrainingSet,
     NonFiniteTrainingData,
     NonPositiveHyperparameter,
     SingularPrecision,
+    TailLargerThanTrace,
 )
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Prior hyperparameters and run budgets. Only VB reads tol; only
-    Gibbs reads burn_in, thinning and dict_estimate_mode.
+    Gibbs reads dict_estimate_mode.
 
     Frozen and checked when built, by the constructor and by
     dataclasses.replace, so the engines need not check it again.
@@ -42,12 +42,12 @@ class ModelConfig:
                  which drops the ridge term from the dictionary updates.
     num_atoms  : N, the number of dictionary columns.
     max_iters  : VB sweep budget / Gibbs chain length.
-    burn_in    : Gibbs samples discarded before collection.
     tol        : VB stop when the relative Frobenius change of <D>
                  falls below this.
     seed       : seeds the initial dictionary and every Gibbs draw.
-    thinning   : keep every k-th post-burn-in Gibbs sample.
-    dict_estimate_mode : "last_sample" or "average_tail(k)".
+    dict_estimate_mode : "last_sample" or "average_tail(k)": Gibbs
+                 stores and averages D over the last k <= max_iters
+                 sweeps (k = 1 for last_sample).
     """
 
     num_atoms: int
@@ -57,10 +57,8 @@ class ModelConfig:
     d: float = 1e-6
     beta: float = 1e8
     max_iters: int = 500
-    burn_in: int = 0
     tol: float = 1e-6
     seed: int = 0
-    thinning: int = 1
     dict_estimate_mode: str = "last_sample"
 
     def __post_init__(self):
@@ -70,19 +68,19 @@ class ModelConfig:
                 raise NonPositiveHyperparameter(name, v, "finite and positive")
         if not self.beta > 0:  # inf is allowed: a flat dictionary prior
             raise NonPositiveHyperparameter("beta", self.beta)
-        for name in ("num_atoms", "max_iters", "thinning"):
+        for name in ("num_atoms", "max_iters"):
             v = getattr(self, name)
             if v < 1:
                 raise NonPositiveHyperparameter(name, v, "a positive integer")
-        for name in ("burn_in", "tol", "seed"):
+        for name in ("tol", "seed"):
             v = getattr(self, name)
             if not v >= 0:  # also catches a nan tol
                 raise NonPositiveHyperparameter(name, v, "non-negative")
-        if self.burn_in >= self.max_iters:
-            raise BurnInExceedsIterations(
-                f"burn_in={self.burn_in} must be smaller than "
-                f"max_iters={self.max_iters}")
-        parse_estimate_mode(self.dict_estimate_mode)
+        k = parse_estimate_mode(self.dict_estimate_mode)
+        if k > self.max_iters:
+            raise TailLargerThanTrace(
+                f"{self.dict_estimate_mode} averages {k} sweeps, a chain of "
+                f"max_iters={self.max_iters} has {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ _TAIL_RE = re.compile(r"^average_tail\((\d+)\)$")
 
 
 def parse_estimate_mode(mode: str) -> int:
-    """How many kept samples the mode averages: 1 for last_sample, else k."""
+    """How many sweeps the mode averages: 1 for last_sample, else k."""
     if mode == "last_sample":
         return 1
     m = _TAIL_RE.match(mode)

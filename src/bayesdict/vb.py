@@ -164,7 +164,7 @@ def _rfp_inverses(S: np.ndarray, G: np.ndarray, diags: np.ndarray, layout,
     for j, s in enumerate(S):  # s is a row view: LAPACK works in place
         if dpftrf(N, s, "T", "U", 1)[1]:
             try:
-                (chol, _), _ = spd_factor(G + np.diag(diags[j]))
+                chol, _ = spd_factor(G + np.diag(diags[j]))
             except SingularPrecision as exc:
                 raise SingularPrecision(f"{label(j)}: {exc}") from exc
             s[:] = chol[cols, rows]  # U = L', off chol's lower half

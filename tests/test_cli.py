@@ -60,7 +60,7 @@ def assert_report_layout(out_dir, metric_keys, artifacts):
     assert files == artifacts + ["config_echo.cfg", "report.txt"]
 
 
-GIBBS_TRAIN_METRICS = ["iterations_run", "kept_samples", "final_residual",
+GIBBS_TRAIN_METRICS = ["iterations_run", "final_residual",
                        "dense_fallback_columns", "signals"]
 VB_TRAIN_METRICS = ["iterations_run", "converged", "elbo_final",
                     "final_residual", "jitter_fallback_columns",
@@ -152,7 +152,6 @@ M = 20
 a = 0.5
 b = 1e-06
 beta = 1.0
-burn_in = 0
 c = 0.5
 d = 1e-06
 dict_estimate_mode = last_sample
@@ -163,7 +162,6 @@ num_atoms = 50
 seed = 0
 snr_grid = 20.0
 success_threshold = 0.01
-thinning = 1
 trials = 5
 """,
     "vb-full": """\
@@ -209,6 +207,8 @@ def test_bench_echoes_every_default(tmp_path, engine, beta, iters):
       for line in ("burn_in = 1", "thinning = 2",
                    "dict_estimate_mode = average_tail(2)")),
     ("gibbs", "tol = 0.001"),
+    ("gibbs", "burn_in = 1"),
+    ("gibbs", "thinning = 2"),
 ])
 def test_engine_rejects_keys_it_does_not_read(tmp_path, capsys, engine,
                                               line):
@@ -263,8 +263,10 @@ def test_bench_rejects_negative_seed(tmp_path, capsys):
      "snr_db must be a number or +inf, got -inf"),
     (("k_grid = 2\n", "k_grid = 2 0\n"),
      "sparsity must be a valid sparsity or (lo, hi) range, got 0"),
+    (("iters = 15\n", "iters = 15\ndict_estimate_mode = average_tail(16)\n"),
+     "average_tail(16) averages 16 sweeps, a chain of max_iters=15 has 15"),
 ], ids=["a", "L_grid", "k_grid_above_num_atoms", "snr_grid_minus_inf",
-        "k_grid_zero"])
+        "k_grid_zero", "tail_above_iters"])
 def test_bench_rejects_model_settings_before_any_trial(tmp_path, capsys, edit,
                                                        message):
     """A setting train would reject up front, or a grid value no trial
@@ -513,19 +515,6 @@ def test_train_remove_dc_trains_on_the_centred_matrix(tmp_path):
     assert dictionaries[0] == dictionaries[1]
 
 
-@pytest.mark.parametrize("engine", ["vb-full", "vb-atomwise"])
-def test_vb_engines_reject_burn_in_flag(tmp_path, capsys, engine):
-    data_path = make_matrix_input(tmp_path)
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(f"input = {data_path}\nnum_atoms = 10\n")
-    rc = run_cli("train", "--config", str(cfg), "--engine", engine,
-                 "--burn-in", "2", "--out", str(tmp_path / "x"))
-    assert rc == 1
-    assert f"--burn-in does not apply to {engine}" \
-        in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-
-
 # ---------------------------------------------------------------------------
 # denoise
 
@@ -604,7 +593,7 @@ def test_denoise_writes_nothing_on_a_bad_clean_reference(
 
 def test_denoise_rejects_training_flags(tmp_path, capsys):
     for flag, value in (("--engine", "gibbs"), ("--iters", "5"),
-                        ("--burn-in", "2"), ("--seed", "1")):
+                        ("--seed", "1")):
         rc = run_cli("denoise", flag, value, "--sigma", "20",
                      "--out", str(tmp_path / "x"))
         assert rc == 1

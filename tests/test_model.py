@@ -12,12 +12,12 @@ from bayesdict import (
     initialize_vb_state,
 )
 from bayesdict.errors import (
-    BurnInExceedsIterations,
     ConfigParseError,
     DimensionMismatch,
     EmptyTrainingSet,
     NonFiniteTrainingData,
     NonPositiveHyperparameter,
+    TailLargerThanTrace,
 )
 from bayesdict.model import parse_estimate_mode
 
@@ -74,29 +74,38 @@ def test_integer_field_validation():
     with pytest.raises(NonPositiveHyperparameter):
         ModelConfig(num_atoms=4, max_iters=0)
     with pytest.raises(NonPositiveHyperparameter):
-        ModelConfig(num_atoms=4, burn_in=-1)
-    with pytest.raises(NonPositiveHyperparameter):
-        ModelConfig(num_atoms=4, thinning=0)
-    with pytest.raises(NonPositiveHyperparameter):
         ModelConfig(num_atoms=4, seed=-1)
     with pytest.raises(NonPositiveHyperparameter):
         ModelConfig(num_atoms=4, tol=-0.5)
 
 
-def test_burn_in_must_leave_samples():
-    with pytest.raises(BurnInExceedsIterations):
-        ModelConfig(num_atoms=4, max_iters=10, burn_in=10)
-    ModelConfig(num_atoms=4, max_iters=10, burn_in=9)
+def test_estimate_tail_must_fit_the_chain():
+    """The Gibbs estimate averages the last k sweeps; a chain of
+    max_iters sweeps has no more, so a larger k fails when built."""
+    ModelConfig(num_atoms=4, max_iters=20,
+                dict_estimate_mode="average_tail(20)")
+    ModelConfig(num_atoms=4, max_iters=1)  # last_sample needs one sweep
+    with pytest.raises(TailLargerThanTrace,
+                       match=r"^average_tail\(21\) averages 21 sweeps, a "
+                             r"chain of max_iters=20 has 20$"):
+        ModelConfig(num_atoms=4, max_iters=20,
+                    dict_estimate_mode="average_tail(21)")
 
 
 def test_model_config_is_frozen_and_replace_rechecks():
     cfg = ModelConfig(num_atoms=4, max_iters=10)
     with pytest.raises(FrozenInstanceError):
-        cfg.burn_in = 10
+        cfg.max_iters = 5
     assert replace(cfg, seed=7).seed == 7
-    with pytest.raises(BurnInExceedsIterations,
-                       match="^burn_in=10 must be smaller than max_iters=10$"):
-        replace(cfg, burn_in=10)
+    with pytest.raises(TailLargerThanTrace,
+                       match=r"^average_tail\(11\) averages 11 sweeps, a "
+                             r"chain of max_iters=10 has 10$"):
+        replace(cfg, dict_estimate_mode="average_tail(11)")
+    tail = replace(cfg, dict_estimate_mode="average_tail(10)")
+    with pytest.raises(TailLargerThanTrace,
+                       match=r"^average_tail\(10\) averages 10 sweeps, a "
+                             r"chain of max_iters=9 has 9$"):
+        replace(tail, max_iters=9)
     with pytest.raises(ConfigParseError, match="^dict_estimate_mode must be"):
         replace(cfg, dict_estimate_mode="average_tail(0)")
 
