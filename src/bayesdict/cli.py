@@ -55,28 +55,25 @@ from .synthetic import SyntheticSpec, generate_synthetic
 from .vb import run_vb
 
 ENGINES = ("gibbs", "vb-full", "vb-atomwise")  # the first is the default
-_KEYS = {"max_iters": "iters"}  # ModelConfig field -> config key, if renamed
 
 
 def _engine_schema(engine: str) -> dict:
     """Keys shared by the engine commands: engine, and every ModelConfig
     field but num_atoms that the engine reads (tol only for VB,
-    dict_estimate_mode only for Gibbs), with ModelConfig's default
-    (max_iters under the key iters). Gibbs overrides two: beta=1 instead
-    of the VB engines' diffuse atom prior 1e8, and 300 sweeps instead of
-    500."""
+    dict_estimate_mode only for Gibbs), under its field name and with
+    ModelConfig's default. Gibbs overrides two: beta=1 instead of the VB
+    engines' diffuse atom prior 1e8, and iters=300 instead of 500."""
     if engine not in ENGINES:
         raise ConfigParseError(
             f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
     gibbs = engine == "gibbs"
-    overrides = {"beta": 1.0, "max_iters": 300} if gibbs else {}
+    overrides = {"beta": 1.0, "iters": 300} if gibbs else {}
     unread = ("tol",) if gibbs else ("dict_estimate_mode",)
     schema = {"engine": ("str", ENGINES[0])}
     for f in fields(ModelConfig):
         if f.name not in ("num_atoms", *unread):
             default = overrides.get(f.name, f.default)
-            schema[_KEYS.get(f.name, f.name)] = (type(default).__name__,
-                                                 format_value(default))
+            schema[f.name] = (type(default).__name__, format_value(default))
     return schema
 
 
@@ -118,9 +115,8 @@ def _denoise_schema(engine: str, given: dict) -> dict:
 
 def _model_config(resolved: dict) -> ModelConfig:
     """A field the engine's schema omits keeps ModelConfig's default."""
-    return ModelConfig(**{
-        f.name: resolved[key] for f in fields(ModelConfig)
-        if (key := _KEYS.get(f.name, f.name)) in resolved})
+    return ModelConfig(**{f.name: resolved[f.name] for f in fields(ModelConfig)
+                          if f.name in resolved})
 
 
 def _resolve_config(args, schema_for) -> dict:
@@ -151,11 +147,11 @@ def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
     name -> per-sweep values, report metrics)."""
     if engine == "gibbs":
         trace, _ = run_gibbs(mcfg, data)
-        D = estimate_dictionary(trace, mcfg.dict_estimate_mode)
+        D = estimate_dictionary(trace)
         columns = {"residual": trace.residual_per_iter,
                    "gamma": trace.gamma_per_iter}
         metrics = {
-            "iterations_run": mcfg.max_iters,
+            "iterations_run": mcfg.iters,
             "final_residual": trace.residual_per_iter[-1],
             "dense_fallback_columns": sum(trace.dense_fallback_per_iter),
         }
@@ -202,8 +198,6 @@ def cmd_bench_synthetic(resolved: dict, out_dir: Path):
     engine = resolved["engine"]
     if resolved["trials"] < 1:
         raise ConfigParseError("trials must be >= 1")
-    if resolved["seed"] < 0:
-        raise ConfigParseError("seed must be >= 0")
     if not (resolved["L_grid"] and resolved["snr_grid"] and resolved["k_grid"]):
         raise ConfigParseError("L_grid, snr_grid, and k_grid must be non-empty")
     # a setting every trial would fail on is rejected before the first

@@ -63,11 +63,11 @@ class ZeroSignal(BayesdictError):
 # --- sampling traces ---
 
 class EmptyTrace(BayesdictError):
-    pass
+    """Raised by estimate_dictionary for a trace with no kept sample."""
 
 
 class TailLargerThanTrace(BayesdictError):
-    pass
+    """Raised by ModelConfig for an average_tail(k) with k > iters."""
 
 
 # --- image / file I/O ---

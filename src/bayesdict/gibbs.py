@@ -37,12 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyTrace,
-    NonFinite,
-    SingularPrecision,
-    TailLargerThanTrace,
-)
+from .errors import EmptyTrace, NonFinite, SingularPrecision
 from .linalg import _rfp_layout, spd_factor
 from .model import (
     GibbsState,
@@ -83,8 +78,9 @@ _DRAW_CHUNK = 2**16
 
 @dataclass
 class ChainTrace:
-    """D after each of the last k sweeps, the ones the estimate averages
-    (so kept_dicts[-1] is the final D), plus per-sweep diagnostics."""
+    """D after each of the last k of cfg.iters sweeps (k from
+    cfg.dict_estimate_mode), the ones estimate_dictionary averages (so
+    kept_dicts[-1] is the final D), plus per-sweep diagnostics."""
 
     kept_dicts: list = field(default_factory=list)
     residual_per_iter: list = field(default_factory=list)
@@ -265,13 +261,13 @@ def sample_gamma(state: GibbsState, data: TrainingSet,
 
 
 def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsState]:
-    """Run the chain for max_iters sweeps, keeping D after each of the
+    """Run the chain for cfg.iters sweeps, keeping D after each of the
     last k = parse_estimate_mode(cfg.dict_estimate_mode), the ones
     estimate_dictionary averages."""
     state = initialize_gibbs_state(cfg, data)
     trace = ChainTrace()
     k = parse_estimate_mode(cfg.dict_estimate_mode)
-    for t in range(1, cfg.max_iters + 1):
+    for t in range(1, cfg.iters + 1):
         n_dense = sample_codes(state, data)
         sample_atoms(state, data, cfg.beta)
         sample_alpha(state, cfg)
@@ -280,7 +276,7 @@ def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsSta
         trace.residual_per_iter.append(float(np.sqrt(sq_resid)))
         trace.gamma_per_iter.append(state.gamma)
         trace.dense_fallback_per_iter.append(n_dense)
-        if t > cfg.max_iters - k:
+        if t > cfg.iters - k:
             trace.kept_dicts.append(state.D.copy())
     return trace, state
 
@@ -294,14 +290,9 @@ def _check_finite(state: GibbsState, sweep: int) -> None:
             raise NonFinite(f"sweep {sweep}: {name} is not finite")
 
 
-def estimate_dictionary(trace: ChainTrace, mode: str) -> np.ndarray:
-    """The mean of the last k kept samples (k = 1 for last_sample). A
-    caller may hand in any trace, so an empty or short one raises."""
-    k = parse_estimate_mode(mode)
+def estimate_dictionary(trace: ChainTrace) -> np.ndarray:
+    """The mean of the kept samples, the last k sweeps of a run_gibbs
+    chain; a trace a caller built with none raises EmptyTrace."""
     if not trace.kept_dicts:
         raise EmptyTrace("no dictionary samples were kept")
-    if k > len(trace.kept_dicts):
-        raise TailLargerThanTrace(
-            f"average_tail({k}) needs {k} samples, trace holds "
-            f"{len(trace.kept_dicts)}")
-    return np.mean(trace.kept_dicts[-k:], axis=0)
+    return np.mean(trace.kept_dicts, axis=0)

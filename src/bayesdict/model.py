@@ -41,13 +41,13 @@ class ModelConfig:
     beta       : prior variance of each dictionary entry; may be inf,
                  which drops the ridge term from the dictionary updates.
     num_atoms  : N, the number of dictionary columns.
-    max_iters  : VB sweep budget / Gibbs chain length.
+    iters      : VB sweep budget / Gibbs chain length.
     tol        : VB stop when the relative Frobenius change of <D>
                  falls below this.
     seed       : seeds the initial dictionary and every Gibbs draw.
     dict_estimate_mode : "last_sample" or "average_tail(k)": Gibbs
-                 stores and averages D over the last k <= max_iters
-                 sweeps (k = 1 for last_sample).
+                 stores and averages D over the last k <= iters sweeps
+                 (k = 1 for last_sample).
     """
 
     num_atoms: int
@@ -56,7 +56,7 @@ class ModelConfig:
     c: float = 0.5
     d: float = 1e-6
     beta: float = 1e8
-    max_iters: int = 500
+    iters: int = 500
     tol: float = 1e-6
     seed: int = 0
     dict_estimate_mode: str = "last_sample"
@@ -68,7 +68,7 @@ class ModelConfig:
                 raise NonPositiveHyperparameter(name, v, "finite and positive")
         if not self.beta > 0:  # inf is allowed: a flat dictionary prior
             raise NonPositiveHyperparameter("beta", self.beta)
-        for name in ("num_atoms", "max_iters"):
+        for name in ("num_atoms", "iters"):
             v = getattr(self, name)
             if v < 1:
                 raise NonPositiveHyperparameter(name, v, "a positive integer")
@@ -77,10 +77,10 @@ class ModelConfig:
             if not v >= 0:  # also catches a nan tol
                 raise NonPositiveHyperparameter(name, v, "non-negative")
         k = parse_estimate_mode(self.dict_estimate_mode)
-        if k > self.max_iters:
+        if k > self.iters:
             raise TailLargerThanTrace(
                 f"{self.dict_estimate_mode} averages {k} sweeps, a chain of "
-                f"max_iters={self.max_iters} has {self.max_iters}")
+                f"iters={self.iters} has {self.iters}")
 
 
 @dataclass(frozen=True)

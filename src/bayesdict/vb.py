@@ -60,10 +60,11 @@ LN_2PI = float(np.log(2.0 * np.pi))
 _BLOCK = 32
 # Columns per right-hand-side GEMM of update_codes, <g> Y[:, chunk]' <D>.
 # A GEMM's bits for a row can depend on how many rows it has (a single
-# row goes through GEMV), so this is fixed apart from _BLOCK; chunks of
-# any multiple of 32 gave the whole L x N product's bits at 3/4/20,
-# 20/50/1000, 20/51/70 and 64/256 with L up to 62 001, on one and on
-# two BLAS threads.
+# row goes through GEMV), so this is fixed apart from _BLOCK and a
+# one-column remainder joins the last chunk. Chunks of any multiple of
+# 32 gave the whole L x N product's bits at 3/4/20, 20/50/1000,
+# 20/51/70, 20/50/65 and 64/256 with L up to 62 001, on one and on two
+# BLAS threads.
 _RHS_COLUMNS = 64
 
 
@@ -199,11 +200,12 @@ def update_codes(state: VBState, data: TrainingSet) -> int:
     logdet_sum = 0.0
     fallbacks = 0
     stack = np.empty((min(_BLOCK, data.L), len(packed)))
-    for c0 in range(0, data.L, _RHS_COLUMNS):
-        chunk = slice(c0, min(c0 + _RHS_COLUMNS, data.L))
+    edges = [*range(0, max(data.L - 1, 1), _RHS_COLUMNS), data.L]
+    for c0, c1 in zip(edges, edges[1:]):
+        chunk = slice(c0, c1)
         mu = gamma_mean * (data.Y[:, chunk].T @ state.dict_mean)
-        for l0 in range(c0, chunk.stop, _BLOCK):
-            block = slice(l0, min(l0 + _BLOCK, chunk.stop))
+        for l0 in range(c0, c1, _BLOCK):
+            block = slice(l0, min(l0 + _BLOCK, c1))
             S = stack[:block.stop - l0]
             S[:] = packed
             alpha_mean = state.alpha_shape / state.alpha_rates[:, block]
@@ -359,14 +361,14 @@ def run_vb(cfg: ModelConfig, data: TrainingSet,
 
     variant selects the dictionary update: "full" refreshes the whole
     matrix jointly, "atomwise" sweeps atoms sequentially. Stopping is
-    max_iters or relative Frobenius change of <D> below cfg.tol; hitting
-    the budget is a normal outcome, left on the trace as converged=False.
+    cfg.iters sweeps or relative Frobenius change of <D> below cfg.tol;
+    hitting the budget is normal, left on the trace as converged=False.
     """
     if variant not in ("full", "atomwise"):
         raise ConfigParseError(f"unknown variant {variant!r}")
     state = initialize_vb_state(cfg, data)
     trace = VBTrace()
-    for sweep in range(cfg.max_iters):
+    for sweep in range(cfg.iters):
         d_prev = state.dict_mean.copy()
         trace.jitter_fallback_per_iter.append(update_codes(state, data))
         if variant == "full":

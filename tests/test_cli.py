@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bayesdict
-from bayesdict import cli, patches, vb
-from bayesdict.cli import main
+from bayesdict import ModelConfig, cli, patches, vb
+from bayesdict.cli import ENGINES, main
 from bayesdict.fileio import load_matrix, load_pgm, save_matrix, save_pgm
 from bayesdict.synthetic import SyntheticSpec, generate_synthetic
 import bench_inputs
@@ -222,6 +223,16 @@ def test_engine_rejects_keys_it_does_not_read(tmp_path, capsys, engine,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engine_keys_are_model_config_fields(engine):
+    """Each ModelConfig field the engine reads is a key under its own
+    name, so a ModelConfig error names the key a user set."""
+    unread = "tol" if engine == "gibbs" else "dict_estimate_mode"
+    assert set(cli._engine_schema(engine)) == {
+        "engine", *(f.name for f in fields(ModelConfig)
+                    if f.name not in ("num_atoms", unread))}
+
+
 def test_bench_rejects_bad_grid(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("L_grid =\n")
@@ -241,14 +252,16 @@ def test_bench_unknown_engine(tmp_path, capsys):
 
 
 def test_bench_rejects_negative_seed(tmp_path, capsys):
-    """Caught before any trial, as train catches it: no raw ValueError
-    from numpy's generator, and nothing written."""
+    """Caught before any trial by ModelConfig, with the message train
+    prints (test_train_reports_a_bad_engine_setting_by_its_key): no raw
+    ValueError from numpy's generator, and nothing written."""
     cfg = tmp_path / "bench.cfg"
     write_bench_cfg(cfg)
     rc = run_cli("bench-synthetic", "--config", str(cfg), "--seed", "-1",
                  "--out", str(tmp_path / "x"))
     assert rc == 1
-    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert capsys.readouterr().err == \
+        "error: seed must be non-negative, got -1\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -264,7 +277,7 @@ def test_bench_rejects_negative_seed(tmp_path, capsys):
     (("k_grid = 2\n", "k_grid = 2 0\n"),
      "sparsity must be a valid sparsity or (lo, hi) range, got 0"),
     (("iters = 15\n", "iters = 15\ndict_estimate_mode = average_tail(16)\n"),
-     "average_tail(16) averages 16 sweeps, a chain of max_iters=15 has 15"),
+     "average_tail(16) averages 16 sweeps, a chain of iters=15 has 15"),
 ], ids=["a", "L_grid", "k_grid_above_num_atoms", "snr_grid_minus_inf",
         "k_grid_zero", "tail_above_iters"])
 def test_bench_rejects_model_settings_before_any_trial(tmp_path, capsys, edit,
@@ -451,6 +464,26 @@ def test_train_rejects_non_positive_stride(tmp_path, capsys, stride):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error: stride must be a positive integer, got {stride}" in err
+
+
+@pytest.mark.parametrize("line, flags, message", [
+    ("", ("--iters", "0"), "iters must be a positive integer, got 0"),
+    ("dict_estimate_mode = average_tail(5)\n", ("--iters", "4"),
+     "average_tail(5) averages 5 sweeps, a chain of iters=4 has 4"),
+    ("", ("--seed", "-1"), "seed must be non-negative, got -1"),
+], ids=["iters_zero", "tail_above_iters", "negative_seed"])
+def test_train_reports_a_bad_engine_setting_by_its_key(tmp_path, capsys,
+                                                       line, flags, message):
+    """ModelConfig's check is the only one, and it names the key; the
+    seed message is bench-synthetic's too. Nothing is written."""
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {make_matrix_input(tmp_path)}\n"
+                   f"num_atoms = 10\n{line}")
+    rc = run_cli("train", "--config", str(cfg), *flags,
+                 "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_requires_input_key(tmp_path, capsys):

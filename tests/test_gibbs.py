@@ -19,7 +19,6 @@ from bayesdict.errors import (
     EmptyTrace,
     NonFinite,
     SingularPrecision,
-    TailLargerThanTrace,
 )
 from bayesdict.gibbs import (
     ChainTrace,
@@ -672,7 +671,7 @@ def test_sample_gamma_exact_fit_and_pinned_shape():
 def test_run_gibbs_is_deterministic():
     rng = np.random.default_rng(7)
     data = TrainingSet.from_matrix(rng.standard_normal((4, 12)))
-    cfg = ModelConfig(num_atoms=5, max_iters=12, beta=1.0, seed=9)
+    cfg = ModelConfig(num_atoms=5, iters=12, beta=1.0, seed=9)
     tr1, st1 = run_gibbs(cfg, data)
     tr2, st2 = run_gibbs(cfg, data)
     np.testing.assert_array_equal(st1.D, st2.D)
@@ -689,7 +688,7 @@ def test_run_gibbs_keeps_exactly_the_averaged_tail():
     that sweep."""
     rng = np.random.default_rng(8)
     data = TrainingSet.from_matrix(rng.standard_normal((3, 8)))
-    cfg = ModelConfig(num_atoms=3, max_iters=11, beta=1.0, seed=1,
+    cfg = ModelConfig(num_atoms=3, iters=11, beta=1.0, seed=1,
                       dict_estimate_mode="average_tail(3)")
     trace, _ = run_gibbs(cfg, data)
     assert len(trace.kept_dicts) == 3
@@ -698,7 +697,7 @@ def test_run_gibbs_keeps_exactly_the_averaged_tail():
     assert len(trace.dense_fallback_per_iter) == 11
     for i, kept in enumerate(trace.kept_dicts):
         _, shorter = run_gibbs(
-            ModelConfig(num_atoms=3, max_iters=9 + i, beta=1.0, seed=1), data)
+            ModelConfig(num_atoms=3, iters=9 + i, beta=1.0, seed=1), data)
         np.testing.assert_array_equal(kept, shorter.D)
 
 
@@ -709,39 +708,35 @@ def test_run_gibbs_stores_only_the_tail_at_image_scale():
     stored D after every sweep read 14.8 MiB, 7.4 MiB of it copies."""
     rng = np.random.default_rng(25)
     data = TrainingSet.from_matrix(rng.standard_normal((64, 64)))
-    cfg = ModelConfig(num_atoms=256, max_iters=60, beta=1.0, seed=3)
+    cfg = ModelConfig(num_atoms=256, iters=60, beta=1.0, seed=3)
     assert _traced_peak(lambda: run_gibbs(cfg, data)) < 10 * 2**20
 
 
 def test_final_kept_dict_is_final_state():
     rng = np.random.default_rng(9)
     data = TrainingSet.from_matrix(rng.standard_normal((3, 8)))
-    cfg = ModelConfig(num_atoms=3, max_iters=7, beta=1.0, seed=2)
+    cfg = ModelConfig(num_atoms=3, iters=7, beta=1.0, seed=2)
     trace, state = run_gibbs(cfg, data)
     np.testing.assert_array_equal(trace.kept_dicts[-1], state.D)
 
 
-def test_estimate_dictionary_modes():
+def test_estimate_dictionary_averages_the_kept_samples():
+    """The chain keeps exactly the window the estimate averages (see
+    test_run_gibbs_keeps_exactly_the_averaged_tail), so the estimate is
+    the mean of every kept sample; a trace with none raises."""
     mats = [np.full((2, 2), float(k)) for k in range(5)]
-    trace = ChainTrace(kept_dicts=mats)
-    np.testing.assert_array_equal(estimate_dictionary(trace, "last_sample"),
-                                  mats[-1])
     np.testing.assert_array_equal(
-        estimate_dictionary(trace, "average_tail(2)"),
-        np.full((2, 2), 3.5))
+        estimate_dictionary(ChainTrace(kept_dicts=mats)), np.full((2, 2), 2.0))
     np.testing.assert_array_equal(
-        estimate_dictionary(trace, "average_tail(5)"),
-        np.full((2, 2), 2.0))
-    with pytest.raises(TailLargerThanTrace):
-        estimate_dictionary(trace, "average_tail(6)")
-    with pytest.raises(EmptyTrace):
-        estimate_dictionary(ChainTrace(), "last_sample")
+        estimate_dictionary(ChainTrace(kept_dicts=mats[-1:])), mats[-1])
+    with pytest.raises(EmptyTrace, match="^no dictionary samples were kept$"):
+        estimate_dictionary(ChainTrace())
 
 
 def test_run_gibbs_stops_on_non_finite_state(monkeypatch):
     rng = np.random.default_rng(13)
     data = TrainingSet.from_matrix(rng.standard_normal((3, 8)))
-    cfg = ModelConfig(num_atoms=3, max_iters=10, beta=1.0, seed=1)
+    cfg = ModelConfig(num_atoms=3, iters=10, beta=1.0, seed=1)
     real_sample_atoms = gibbs.sample_atoms
     calls = []
 
@@ -766,7 +761,7 @@ def residual_ratios(chain_seeds):
     data = TrainingSet.from_matrix(Y)
     ratios = []
     for seed in chain_seeds:
-        cfg = ModelConfig(num_atoms=10, max_iters=300, beta=1.0, seed=seed)
+        cfg = ModelConfig(num_atoms=10, iters=300, beta=1.0, seed=seed)
         trace, _ = run_gibbs(cfg, data)
         early = np.mean(trace.residual_per_iter[:5])
         late = np.mean(trace.residual_per_iter[-5:])

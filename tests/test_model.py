@@ -72,7 +72,7 @@ def test_integer_field_validation():
     with pytest.raises(NonPositiveHyperparameter):
         ModelConfig(num_atoms=0)
     with pytest.raises(NonPositiveHyperparameter):
-        ModelConfig(num_atoms=4, max_iters=0)
+        ModelConfig(num_atoms=4, iters=0)
     with pytest.raises(NonPositiveHyperparameter):
         ModelConfig(num_atoms=4, seed=-1)
     with pytest.raises(NonPositiveHyperparameter):
@@ -81,31 +81,31 @@ def test_integer_field_validation():
 
 def test_estimate_tail_must_fit_the_chain():
     """The Gibbs estimate averages the last k sweeps; a chain of
-    max_iters sweeps has no more, so a larger k fails when built."""
-    ModelConfig(num_atoms=4, max_iters=20,
+    iters sweeps has no more, so a larger k fails when built."""
+    ModelConfig(num_atoms=4, iters=20,
                 dict_estimate_mode="average_tail(20)")
-    ModelConfig(num_atoms=4, max_iters=1)  # last_sample needs one sweep
+    ModelConfig(num_atoms=4, iters=1)  # last_sample needs one sweep
     with pytest.raises(TailLargerThanTrace,
                        match=r"^average_tail\(21\) averages 21 sweeps, a "
-                             r"chain of max_iters=20 has 20$"):
-        ModelConfig(num_atoms=4, max_iters=20,
+                             r"chain of iters=20 has 20$"):
+        ModelConfig(num_atoms=4, iters=20,
                     dict_estimate_mode="average_tail(21)")
 
 
 def test_model_config_is_frozen_and_replace_rechecks():
-    cfg = ModelConfig(num_atoms=4, max_iters=10)
+    cfg = ModelConfig(num_atoms=4, iters=10)
     with pytest.raises(FrozenInstanceError):
-        cfg.max_iters = 5
+        cfg.iters = 5
     assert replace(cfg, seed=7).seed == 7
     with pytest.raises(TailLargerThanTrace,
                        match=r"^average_tail\(11\) averages 11 sweeps, a "
-                             r"chain of max_iters=10 has 10$"):
+                             r"chain of iters=10 has 10$"):
         replace(cfg, dict_estimate_mode="average_tail(11)")
     tail = replace(cfg, dict_estimate_mode="average_tail(10)")
     with pytest.raises(TailLargerThanTrace,
                        match=r"^average_tail\(10\) averages 10 sweeps, a "
-                             r"chain of max_iters=9 has 9$"):
-        replace(tail, max_iters=9)
+                             r"chain of iters=9 has 9$"):
+        replace(tail, iters=9)
     with pytest.raises(ConfigParseError, match="^dict_estimate_mode must be"):
         replace(cfg, dict_estimate_mode="average_tail(0)")
 

@@ -564,7 +564,8 @@ def _assert_same_code_moments(st, want):
     assert st.code_logdet_sum == want.code_logdet_sum
 
 
-@pytest.mark.parametrize("M, N, L", [(20, 50, 1000), (20, 51, 70)])
+@pytest.mark.parametrize("M, N, L", [(20, 50, 1000), (20, 51, 70),
+                                     (20, 50, 65)])
 def test_update_codes_matches_whole_rhs_form(monkeypatch, M, N, L):
     """Each chunk's right-hand side, one GEMM over _RHS_COLUMNS columns,
     has the bits of the same rows of the whole L x N GEMM (one chunk of
@@ -800,7 +801,7 @@ def test_elbo_matches_quadrature_on_scalar_model(beta):
 def test_elbo_monotone_under_coordinate_updates(variant):
     rng = np.random.default_rng(10)
     data = TrainingSet.from_matrix(rng.standard_normal((5, 30)))
-    cfg = ModelConfig(num_atoms=8, beta=5.0, max_iters=1, seed=1)
+    cfg = ModelConfig(num_atoms=8, beta=5.0, iters=1, seed=1)
     st = initialize_vb_state(cfg, data)
 
     def elbo():
@@ -874,7 +875,7 @@ def test_elbo_drops_when_code_covariance_is_perturbed():
 def test_run_vb_trace_and_determinism():
     rng = np.random.default_rng(11)
     data = TrainingSet.from_matrix(rng.standard_normal((4, 20)))
-    cfg = ModelConfig(num_atoms=5, max_iters=30, tol=0.0, seed=42, beta=10.0)
+    cfg = ModelConfig(num_atoms=5, iters=30, tol=0.0, seed=42, beta=10.0)
     st1, tr1 = run_vb(cfg, data)
     st2, tr2 = run_vb(cfg, data)
     assert tr1.iterations_run == 30
@@ -889,7 +890,7 @@ def test_run_vb_trace_and_determinism():
 def test_run_vb_converges_with_loose_tol():
     rng = np.random.default_rng(12)
     data = TrainingSet.from_matrix(rng.standard_normal((4, 20)))
-    cfg = ModelConfig(num_atoms=5, max_iters=500, tol=1e-3, seed=0, beta=10.0)
+    cfg = ModelConfig(num_atoms=5, iters=500, tol=1e-3, seed=0, beta=10.0)
     _, tr = run_vb(cfg, data)
     assert tr.converged
     assert tr.iterations_run < 500
@@ -907,7 +908,7 @@ def test_run_vb_fits_noiseless_square_system():
             (1.0 if rng.random() < 0.5 else -1.0)
     Y = Q @ X_true
     data = TrainingSet.from_matrix(Y)
-    cfg = ModelConfig(num_atoms=8, max_iters=500, tol=1e-8, seed=3)
+    cfg = ModelConfig(num_atoms=8, iters=500, tol=1e-8, seed=3)
     st, _ = run_vb(cfg, data)
     rel = np.linalg.norm(Y - st.dict_mean @ st.code_means) / np.linalg.norm(Y)
     assert rel < 1e-3
