@@ -49,7 +49,7 @@ from .metrics import (
     reconstruction_error,
 )
 from .model import ModelConfig, TrainingSet
-from .omp import OmpStop, batch_encode, normalize_dictionary
+from .omp import OmpStop, batch_encode
 from .patches import extract_patches, map_patches
 from .synthetic import SyntheticSpec, generate_synthetic
 from .vb import run_vb
@@ -251,6 +251,8 @@ def cmd_bench_synthetic(resolved: dict, out_dir: Path):
 
 
 def cmd_train(resolved: dict, out_dir: Path):
+    # a bad model setting is reported before the input is read
+    mcfg = _model_config(resolved)
     if "stride" in resolved:  # an image, cut into 8x8 patches
         Y = extract_patches(load_pgm(resolved["input"]), patch_size=8,
                             stride=resolved["stride"])
@@ -259,8 +261,7 @@ def cmd_train(resolved: dict, out_dir: Path):
     if resolved["remove_dc"]:
         Y = Y - Y.mean(axis=0, keepdims=True)
     data = TrainingSet.from_matrix(Y)
-    D, columns, metrics = _fit(resolved["engine"], _model_config(resolved),
-                               data)
+    D, columns, metrics = _fit(resolved["engine"], mcfg, data)
     _write_tsv(out_dir / "trace.tsv",
                [("iter", *columns)]
                + [(i, *map(repr, row)) for i, row
@@ -279,7 +280,6 @@ def _denoise(noisy, D, threshold, remove_dc):
     metrics.
     """
     side = math.isqrt(D.shape[0])
-    Dn, _ = normalize_dictionary(D)
     stop = OmpStop(residual_threshold=threshold)
     coded = selected = 0
 
@@ -287,10 +287,10 @@ def _denoise(noisy, D, threshold, remove_dc):
         nonlocal coded, selected
         means = patches.mean(axis=0) if remove_dc else 0.0
         patches -= means
-        codes = batch_encode(Dn, patches, stop)
+        codes = batch_encode(D, patches, stop)
         coded += len(codes)
         selected += int(codes.indptr[-1])
-        rebuilt = codes.reconstruct(Dn)
+        rebuilt = codes.reconstruct(D)
         rebuilt += means
         return rebuilt
 

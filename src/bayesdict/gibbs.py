@@ -57,12 +57,14 @@ _TINY = float(np.finfo(np.float64).tiny)
 _BLOCK = 64
 # Multiply-adds in one block's system GEMM (_BLOCK * N * M(M+1)/2) from
 # which sample_codes runs that GEMM on a worker thread, overlapped with
-# the previous block's factorizations. On one BLAS thread of a 2-vCPU
-# Xeon guest, at 64/256 (34M per block) one call took 101-135 ms
-# against 160-222 ms inline; at 20/50 (0.67M) the handoffs cost more
-# than the overlap saves, and the worker made 100-sweep chains ~10%
-# slower (median of 8, 0.78 against 0.70 s). On one usable CPU there is
-# nothing to overlap: a call at 64/256 then read up to +41%.
+# the previous block's factorizations. That pays only when the second
+# vCPU is free and the GEMM there does not slow the caller: at
+# 64/256/3721 (34M per block, one BLAS thread, 2-vCPU Xeon guest) a call
+# took 101-135 ms against 160-222 inline when first timed, but later 162
+# against 159 ms with the other vCPU idle (the caller's loop ran ~1.4x
+# slower beside the GEMM), 227 against 224 with it busy and 189 against
+# 179 forced onto one CPU (medians of 15 alternating calls). At 20/50
+# (0.67M) the handoffs cost more: 100-sweep chains ran ~10% slower.
 _OVERLAP_MACS = 2**23
 # kappa_l above this sends a column to the dense draw: the data-space
 # mean's relative error grows like eps * kappa_l (1e-11 at kappa 1e5,

@@ -11,6 +11,8 @@ and share the dictionary initialization, so a VB run and a Gibbs run
 with the same seed start from the same atoms.
 """
 
+from __future__ import annotations
+
 import re
 from dataclasses import dataclass
 

@@ -57,11 +57,10 @@ block's per-step overhead for a few columns; denoising codes its
 patches in bands of ~2000, and with full blocks plus a leftover one each
 band added such a block. The size trades per-step Python overhead
 against the size of a block's work arrays. Denoising a 128² image
-(14 641 patches, 64 x 256 DCT, one BLAS thread, correlations then still
-formed as `Dᵀr`) took 0.57 s with blocks of 128, 0.41 s with 256 and
-0.44-0.46 s with 512 or 1024; the peak traced allocation was 16.4 MiB
-up to 512 but 20.1 MiB at 1024, as much as the per-signal loop this
-replaced (20.3 MiB).
+(14 641 patches, 64 x 256 DCT, one BLAS thread, 2-vCPU host) took a
+median 0.35 s with blocks of 256, 0.32 s with 512 and 0.38 s with 1024
+(fastest 0.23, 0.21 and 0.26 s, 11 interleaved runs); the peak traced
+allocation was 6.1, 10.5 and 22.7 MiB.
 """
 
 from collections.abc import Sequence

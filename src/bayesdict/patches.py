@@ -6,10 +6,12 @@ through `map_patches`, one band of whole patch rows at a time, so that
 only one band's patches are held at once, and averages the rebuilt
 patches back into the image. Patches are vectorized column-major within
 the patch, and patch columns are ordered row-major over (i, j), both
-fixed so golden files stay stable.
+fixed so golden files stay stable. Both functions copy their patches
+out of one sliding-window view of the image.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ImageTooSmall, NonPositiveHyperparameter, ShapeMismatch
 
@@ -23,56 +25,32 @@ from .errors import ImageTooSmall, NonPositiveHyperparameter, ShapeMismatch
 _BAND_PATCHES = 2048
 
 
-def _offset_slices(p: int, stride: int, rows: int, cols: int,
-                   top: int = 0):
-    """(a, b, window) for each in-patch offset (a, b): window selects that
-    pixel of the rows x cols patches whose origins are (top + stride*i,
-    stride*j), in row-major patch order.
-
-    Offsets run from (p-1, p-1) down to (0, 0), so each pixel receives
-    its patches in row-major order of their origins, the order a loop
-    over patches would add them in.
-    """
-    row_span = stride * (rows - 1) + 1
-    col_span = stride * (cols - 1) + 1
-    for a in range(p - 1, -1, -1):
-        for b in range(p - 1, -1, -1):
-            yield a, b, (slice(top + a, top + a + row_span, stride),
-                         slice(b, b + col_span, stride))
+def _gather(windows):
+    """The (p*p, rows*cols) patch matrix of a rows x cols x p x p window
+    view, copied: entry (a + b*p, i*cols + j) is windows[i, j, a, b]."""
+    p = windows.shape[-1]
+    return windows.transpose(3, 2, 0, 1).copy().reshape(p * p, -1)
 
 
-def _gather(image, p, stride, rows, cols, top=0):
-    out = np.empty((p * p, rows * cols))
-    for a, b, window in _offset_slices(p, stride, rows, cols, top):
-        out[a + b * p] = image[window].ravel()
-    return out
-
-
-def _scatter(acc, count, patches, p, rows, cols, top):
-    for a, b, window in _offset_slices(p, 1, rows, cols, top):
-        acc[window] += patches[a + b * p].reshape(rows, cols)
-        count[window] += 1.0
-
-
-def _grid_side(image, patch_size, stride):
-    """The checked float image and its number of patch origins per side."""
+def _windows(image, patch_size, stride):
+    """The p x p windows of the checked float image, [i, j] the one whose
+    top-left corner is at (i, j)."""
     for name, value in (("patch_size", patch_size), ("stride", stride)):
         if value < 1:
             raise NonPositiveHyperparameter(name, value, "a positive integer")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ShapeMismatch(f"expected a square image, got {image.shape}")
-    Q = image.shape[0]
-    if Q < patch_size:
-        raise ImageTooSmall(f"image side {Q} < patch size {patch_size}")
-    return image, (Q - patch_size) // stride + 1
+    if image.shape[0] < patch_size:
+        raise ImageTooSmall(
+            f"image side {image.shape[0]} < patch size {patch_size}")
+    return sliding_window_view(image, (patch_size, patch_size))
 
 
 def extract_patches(image: np.ndarray, patch_size: int = 8,
                     stride: int = 2) -> np.ndarray:
     """All patches on the stride grid as columns of a (p*p, P) matrix."""
-    image, n = _grid_side(image, patch_size, stride)
-    return _gather(image, patch_size, stride, n, n)
+    return _gather(_windows(image, patch_size, stride)[::stride, ::stride])
 
 
 def map_patches(image: np.ndarray, patch_size: int, fn) -> np.ndarray:
@@ -86,17 +64,24 @@ def map_patches(image: np.ndarray, patch_size: int, fn) -> np.ndarray:
     its own, the result does not depend on the band size. A stride-1 grid
     covers every pixel.
     """
-    image, n = _grid_side(image, patch_size, 1)
-    p = patch_size
-    acc = np.zeros(image.shape)
-    count = np.zeros(image.shape)
+    windows = _windows(image, patch_size, 1)
+    n, p = len(windows), patch_size
+    acc = np.zeros((n + p - 1, n + p - 1))
     band = max(1, _BAND_PATCHES // n)
     for top in range(0, n, band):
         rows = min(band, n - top)
-        rebuilt = fn(_gather(image, p, 1, rows, n, top))
+        rebuilt = fn(_gather(windows[top:top + rows]))
         if rebuilt.shape != (p * p, rows * n):
             raise ShapeMismatch(
                 f"rebuilt patches {rebuilt.shape} do not fit the band "
                 f"({p * p} x {rows * n})")
-        _scatter(acc, count, rebuilt, p, rows, n, top)
-    return np.clip(acc / count, 0.0, 255.0)
+        # rebuilt[a + b*p] holds pixel (a, b) of every patch; offsets run
+        # from (p-1, p-1) down to (0, 0), so each pixel receives its
+        # patches in row-major order of their origins
+        rebuilt = rebuilt.reshape(p, p, rows, n)
+        for a in range(p - 1, -1, -1):
+            for b in range(p - 1, -1, -1):
+                acc[top + a:top + a + rows, b:b + n] += rebuilt[b, a]
+    # how many of the n windows along an axis cover each of its pixels
+    per_axis = np.convolve(np.ones(n), np.ones(p))
+    return np.clip(acc / np.outer(per_axis, per_axis), 0.0, 255.0)

@@ -406,6 +406,17 @@ def omp_residual_form(D, Y, max_sparsity=None, residual_threshold=None):
     return sizes, sup, coef, norms
 
 
+def extract_patches_loop(image, patch_size, stride):
+    """Every patch on the stride grid, one at a time: the patch at origin
+    (r, c), origins taken row-major over 0, stride, 2*stride, ..., is
+    image[r:r+p, c:c+p] vectorized column-major into the next column."""
+    p = patch_size
+    origins = range(0, image.shape[0] - p + 1, stride)
+    columns = [image[r:r + p, c:c + p].flatten(order="F")
+               for r in origins for c in origins]
+    return np.stack(columns, axis=1)
+
+
 def reassemble_patches(patches, side, patch_size, stride):
     """Average patch columns back into a side x side image, one patch at
     a time: the patch at origin (r, c), origins taken row-major over

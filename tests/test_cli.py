@@ -486,6 +486,21 @@ def test_train_reports_a_bad_engine_setting_by_its_key(tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("name", ["missing.txt", "missing.pgm"])
+def test_train_checks_its_settings_before_reading_the_input(tmp_path, capsys,
+                                                            name):
+    """A bad engine setting is reported even when the input, a matrix or
+    an image, cannot be read: ModelConfig is built first."""
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"input = {tmp_path / name}\nnum_atoms = 10\n")
+    rc = run_cli("train", "--config", str(cfg), "--iters", "0",
+                 "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert capsys.readouterr().err \
+        == "error: iters must be a positive integer, got 0\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_train_requires_input_key(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("num_atoms = 10\n")
@@ -696,7 +711,9 @@ def test_denoise_takes_patch_side_from_dictionary(tmp_path):
 def test_import_and_denoise_load_no_scipy(tmp_path):
     """Only the inference engines call scipy, and each imports it inside
     the function that calls it: importing the package and the CLI and
-    running a denoise in a fresh interpreter leave scipy unloaded."""
+    running a denoise in a fresh interpreter leave scipy unloaded. Nor
+    does any of it draw a random number or evaluate an annotation naming
+    np.random, so numpy.random stays unloaded too."""
     dict_path = tmp_path / "d.txt"
     save_matrix(np.random.default_rng(7).standard_normal((16, 24)), dict_path)
     noisy = tmp_path / "n.pgm"
@@ -710,7 +727,8 @@ def test_import_and_denoise_load_no_scipy(tmp_path):
         f" '--out', {str(tmp_path / 'den')!r}])\n"
         "assert rc == 0, rc\n"
         "assert 'scipy' not in sys.modules, sorted(\n"
-        "    m for m in sys.modules if m.startswith('scipy'))[:5]\n")
+        "    m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+        "assert 'numpy.random' not in sys.modules\n")
     src = str(Path(bayesdict.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

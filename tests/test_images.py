@@ -40,6 +40,22 @@ def test_patch_vectorization_layout():
     np.testing.assert_array_equal(patches[:, 3], img[7:10, 7:10].flatten("F"))
 
 
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_extract_patches_matches_the_loop_oracle(p, stride):
+    """Every patch of every grid equals the per-patch loop's bit for bit,
+    on sides the grid fits exactly and sides that leave a ragged edge."""
+    rng = np.random.default_rng(10 * p + stride)
+    for q in sorted({p, p + stride, p + 2 * stride + 1, 3 * p + 2}):
+        img = rng.uniform(0.0, 255.0, (q, q))
+        patches = extract_patches(img, patch_size=p, stride=stride)
+        np.testing.assert_array_equal(
+            patches, oracles.extract_patches_loop(img, p, stride))
+        # a fresh array a caller may change in place, even at p = 1
+        assert patches.flags.c_contiguous and patches.flags.writeable
+        assert not np.shares_memory(patches, img)
+
+
 def test_patch_count_formula():
     img = gradient_image(16)
     for stride in (1, 2, 4):
