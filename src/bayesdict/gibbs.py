@@ -9,27 +9,39 @@ seeded generator drives every draw in a fixed order.
 The code step is exact but works in the M-dimensional data space rather
 than in coefficient space: D'D has rank at most M, so each column's
 conditional is drawn with one M x M SPD solve (Bhattacharya, Chakraborty
-& Mallick, Biometrika 2016). Each system is formed by one GEMM per block
-of columns directly in LAPACK's Rectangular Full Packed (RFP) storage:
-the M(M+1)/2 entries of a triangle, laid out so that the blocked level-3
-dpftrf factors it in place and dpftrs solves against it (Gustavson,
-Wasniewski, Dongarra & Langou, ACM TOMS 2010), in the slot order that
-linalg._rfp_layout reads off LAPACK. A failed factorization raises
-SingularPrecision naming the column. That solve loses about
+& Mallick, Biometrika 2016). One skeleton draws the normals, applies the
+kappa guard and assembles X block by block of columns; how a block's
+systems are formed, factored and solved depends on M:
+
+- M <= _SLAB_MAX_M (the 20 x 50 bench cell): _Slab forms every system
+  of a block in one (M + 1, M, B) array, one GEMM per triangle column,
+  then runs a left-looking Cholesky, which also carries the forward
+  solve, and the back solve as M vectorized steps each over the B
+  columns. At small M a per-column LAPACK call costs more in call
+  overhead than the column's flops, and this makes none.
+- M > _SLAB_MAX_M (the 64 x 256 image dictionaries): _Rfp forms each
+  system by one GEMM per block directly in LAPACK's Rectangular Full
+  Packed (RFP) storage: the M(M+1)/2 entries of a triangle, laid out so
+  that the blocked level-3 dpftrf factors it in place and dpftrs solves
+  against it (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 2010),
+  in the slot order that linalg._rfp_layout reads off LAPACK.
+
+Either way a factor whose first bad pivot is <= 0 or nan raises
+SingularPrecision naming the column. The solve loses about
 eps * kappa_l of relative accuracy, with
 kappa_l = 1 + g sum_n ||d_n||^2 / alpha_nl bounding its condition
 number, so columns with kappa_l above _KAPPA_MAX are drawn by a dense
 N x N Cholesky factorization instead; ChainTrace counts them per sweep.
 After every sweep a non-finite gamma, D or X raises NonFinite.
 
-When a call has more than one block, one block's GEMM holds at least
-_OVERLAP_MACS multiply-adds and the process may run on at least two
-CPUs, one worker thread forms block k + 1's systems while the calling
-thread factors block k's. The worker runs a single np.matmul, which
-releases the GIL for its whole run; scipy's LAPACK wrappers hold it, so
-the per-column loop stays on the caller. It is one OS thread beyond any
-the BLAS starts, it lives for one call, and every draw is bit-identical
-to running the GEMMs inline.
+On the RFP path, when a call has more than one block, one block's GEMM
+holds at least _OVERLAP_MACS multiply-adds and the process may run on
+at least two CPUs, one worker thread forms block k + 1's systems while
+the calling thread factors block k's. The worker runs a single
+np.matmul, which releases the GIL for its whole run; scipy's LAPACK
+wrappers hold it, so the per-column loop stays on the caller. It is one
+OS thread beyond any the BLAS starts, it lives for one call, and every
+draw is bit-identical to running the GEMMs inline.
 """
 
 import os
@@ -50,8 +62,8 @@ from .model import (
 
 # a Python float, so a gamma clamped to it is written as a plain number
 _TINY = float(np.finfo(np.float64).tiny)
-# Columns per block in sample_codes. It bounds the per-block
-# temporaries (normals, the RFP M x M systems) whatever L is. The
+# Columns per block in sample_codes on the RFP path. It bounds the
+# per-block temporaries (normals, the RFP M x M systems) whatever L is. The
 # normal stream does not depend on it, but the GEMMs round differently,
 # so draws under two block sizes agree to round-off, not bit for bit.
 _BLOCK = 64
@@ -76,6 +88,25 @@ _KAPPA_MAX = 1e6
 # the same time (8.0-8.2 ms, median of 40) at 2^14 to 2^20 elements and
 # 8.6 ms at 2^12; 2^16 holds 0.5 MiB of draws.
 _DRAW_CHUNK = 2**16
+# Largest M whose code step runs in the slab kernel (_Slab) rather than
+# one dpftrf and one dpftrs per column (_Rfp). A slab block costs about
+# 8M NumPy calls and holds fewer columns as M grows, so RFP wins from
+# M ~ 32 on. Medians of 41 alternating calls at N = 2.5M, L = 1000, one
+# BLAS thread, 2-vCPU Xeon guest; one cell per round of calls:
+#    M | slab ms     | RFP ms      | slab faster (of 41)
+#    8 | 2.3         | 6.7         | 41
+#   16 | 4.5         | 9.4         | 41
+#   24 | 6.2, 8.0    | 7.9, 12.4   | 41, 41
+#   28 | 8.1, 9.9    | 9.2, 12.5   | 38, 38
+#   32 | 15.8, 10.8  | 18.4, 10.3  | 39, 4 (and 8, 3 in two more rounds)
+#   40 | 27.0, 18.0  | 24.7, 15.0  | 0, 0
+#   48 | 44.5        | 28.5        | 0
+_SLAB_MAX_M = 28
+# Bytes of one _Slab, (M + 1) M doubles per column: 624 columns at
+# M = 20, so the bench cell's L = 1000 takes two blocks. A 4 MiB slab
+# (one block) took 3.4 against 4.1 ms per call, but raised synth-gibbs's
+# peak RSS over the RFP path's by 4.3 MiB, against 2.3 MiB at 2 MiB.
+_SLAB_BYTES = 2**21
 
 
 @dataclass
@@ -97,81 +128,65 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
     u = z[:N] / sqrt(alpha_l) ~ N(0, A_l^-1) and delta = z[N:], solves
     S_l w = sqrt(g) y_l - phi u - delta with S_l = I_M + phi A_l^-1 phi'
     and returns u + A_l^-1 phi' w, an exact draw. S_l is SPD, so only
-    one triangle is formed, in RFP storage: one GEMM per block against
-    K (N x M(M+1)/2), whose row n holds phi_n phi_n' at the slots of
-    _rfp_layout(M). LAPACK dpftrf factors it in place and dpftrs
-    solves into w, two calls per column. The normals are drawn one row
-    per column, so the stream does not depend on the block size.
-    Columns with kappa_l > _KAPPA_MAX are drawn densely from their first
-    N normals instead. Returns the number of such columns. A failure of
-    either draw raises SingularPrecision starting "column <l>: ".
+    one triangle is formed, block by block of columns. The normals are
+    drawn one row per column, so the stream does not depend on the block
+    size. Columns with kappa_l > _KAPPA_MAX are drawn densely from their
+    first N normals instead. Returns the number of such columns. A
+    failure of either draw raises SingularPrecision starting
+    "column <l>: ".
 
-    With more than one block, _BLOCK * N * M(M+1)/2 >= _OVERLAP_MACS
-    (the image-train shape, not the bench cell) and two usable CPUs, each
-    block's GEMM runs on the module docstring's worker thread into one
-    of two preallocated buffers; it is joined before the call returns or
-    raises.
+    Only forming, factoring and solving the systems depends on M:
+    - M <= _SLAB_MAX_M (the bench cell): _Slab holds a block's systems
+      side by side and factors and solves all of them in M vectorized
+      steps, with no LAPACK call per column.
+    - M > _SLAB_MAX_M (the image-train shape): _Rfp forms them in RFP
+      storage, and LAPACK dpftrf factors and dpftrs solves each column.
+      With more than one block, _BLOCK * N * M(M+1)/2 >= _OVERLAP_MACS
+      and two usable CPUs, each block's GEMM runs on the module
+      docstring's worker thread, joined before the call returns or
+      raises.
     """
-    from scipy.linalg.lapack import dpftrf, dpftrs
-
     D, rng = state.D, state.rng
     M, N = D.shape
     root_g = np.sqrt(state.gamma)
     phi = root_g * D
-    rows, cols, diag = _rfp_layout(M)
-    K = np.empty((N, len(rows)))
-    for k in range(0, len(rows), M):  # M slots at a time: N x M gathers
-        np.multiply(phi.T[:, rows[k:k + M]], phi.T[:, cols[k:k + M]],
-                    out=K[:, k:k + M])
     norms2 = np.einsum("in,in->n", phi, phi)
-    blocks = [slice(l0, min(l0 + _BLOCK, data.L))
-              for l0 in range(0, data.L, _BLOCK)]
-    # block k's systems are formed in buffers[k % 2] while the caller
-    # factors block k - 1's in the other one
-    buffers = np.empty((2, blocks[0].stop, len(rows)))
-    worker = None
-    if len(blocks) > 1 and _BLOCK * N * len(rows) >= _OVERLAP_MACS \
-            and _usable_cpus() >= 2:
-        from concurrent.futures import ThreadPoolExecutor
-        worker = ThreadPoolExecutor(max_workers=1)
+    # form(k, inv_alpha) returns a callable that gives block k's systems
+    # (it may defer the writing to that call: prepare(k + 1) runs before
+    # block k is solved, and _Slab has one buffer);
+    # solve(S, w) overwrites w with S^-1 w, or returns (j, reason) for
+    # the block's first column j whose factorization fails
+    systems = (_Slab if M <= _SLAB_MAX_M else _Rfp)(phi, data.L)
+    blocks = [slice(l0, min(l0 + systems.width, data.L))
+              for l0 in range(0, data.L, systems.width)]
 
-    def form(k):
-        """Block k's 1/alpha, dense columns and (pending) systems S."""
+    def prepare(k):
+        """Block k's 1/alpha, dense columns and (pending) systems."""
         inv_alpha = 1.0 / state.alpha[:, blocks[k]].T
         with np.errstate(over="ignore"):  # inf kappa also goes dense
             dense = np.flatnonzero(1.0 + inv_alpha @ norms2 > _KAPPA_MAX)
         # the dense draws below replace these rows; zeroing keeps S finite
         inv_alpha[dense] = 0.0
-        S = buffers[k % 2, :len(inv_alpha)]
-        if worker is None:
-            np.matmul(inv_alpha, K, out=S)
-            return inv_alpha, dense, S, None
-        return inv_alpha, dense, S, worker.submit(np.matmul, inv_alpha, K,
-                                                  out=S)
+        return inv_alpha, dense, systems.form(k, inv_alpha)
 
     G = None
     n_dense = 0
     try:
-        pending = form(0)
+        pending = prepare(0)
         for k, block in enumerate(blocks):
-            inv_alpha, dense, S, gemm = pending
-            if gemm is not None:
-                gemm.result()
+            inv_alpha, dense, formed = pending
+            S = formed()
             if k + 1 < len(blocks):
-                pending = form(k + 1)
+                pending = prepare(k + 1)
             l0 = block.start
-            S[:, diag] += 1.0
             z = rng.standard_normal((block.stop - l0, N + M))
             u = z[:, :N] * np.sqrt(inv_alpha)
             w = root_g * data.Y[:, block].T - u @ phi.T - z[:, N:]
-            # s and b are views of rows of S and w: both calls work in place
-            for j, (s, b) in enumerate(zip(S, w[:, :, None])):
-                _, info = dpftrf(M, s, "T", "U", 1)
-                if info:
-                    raise SingularPrecision(
-                        f"column {l0 + j}: data-space system is not "
-                        f"positive definite (dpftrf info {info})")
-                dpftrs(M, s, b, "T", "U", 1)
+            failed = systems.solve(S, w)
+            if failed is not None:
+                raise SingularPrecision(
+                    f"column {l0 + failed[0]}: data-space system is not "
+                    f"positive definite ({failed[1]})")
             state.X[:, block] = (u + inv_alpha * (w @ phi)).T
             if dense.size:
                 if G is None:
@@ -186,9 +201,132 @@ def sample_codes(state: GibbsState, data: TrainingSet) -> int:
                             f"column {l0 + j}: {exc}") from exc
                 n_dense += dense.size
     finally:
-        if worker is not None:
-            worker.shutdown()  # waits for a GEMM still running
+        systems.close()
     return n_dense
+
+
+class _Slab:
+    """A block's systems as one (M + 1, M, B) slab, B columns on its
+    last axis, factored and solved by vectorized steps over that axis.
+
+    form writes lower-triangle column j of every system with one GEMM of
+    phi[j:] * phi[j] against the block's 1/alpha. solve puts w' in row M,
+    so the left-looking Cholesky's M steps also carry out the forward
+    solve there, then solves with L' in M more steps. The slab and the
+    update buffer are allocated once per call, _SLAB_BYTES for the slab.
+    """
+
+    def __init__(self, phi: np.ndarray, L: int):
+        M = phi.shape[0]
+        self.width = max(1, _SLAB_BYTES // (8 * (M + 1) * M))
+        self.outers = [phi[j:] * phi[j] for j in range(M)]
+        width = min(self.width, L)
+        self.slab = np.empty((M + 1) * M * width)
+        self.update = np.empty((M + 1) * width)
+
+    def form(self, k: int, inv_alpha: np.ndarray):
+        # lazy: there is one slab, and sample_codes prepares block k + 1
+        # before it solves block k, so writing here would overwrite k
+        return lambda: self._form(inv_alpha)
+
+    def _form(self, inv_alpha: np.ndarray) -> np.ndarray:
+        M, B = len(self.outers), len(inv_alpha)
+        S = self.slab[:(M + 1) * M * B].reshape(M + 1, M, B)
+        for j, outer in enumerate(self.outers):
+            np.matmul(outer, inv_alpha.T, out=S[j:M, j])
+        S.reshape(-1, B)[:M * M:M + 1] += 1.0  # the diagonal
+        return S
+
+    def solve(self, S: np.ndarray, w: np.ndarray):
+        M, B = len(self.outers), S.shape[2]
+        y = S[M, :M]  # w', then L^-1 w', then the solution
+        y[...] = w.T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for j in range(M):
+                col = S[j:, j]
+                if j:
+                    update = self.update[:(M + 1 - j) * B]
+                    col -= np.einsum("ikb,kb->ib", S[j:, :j], S[j, :j],
+                                     out=update.reshape(M + 1 - j, B))
+                np.sqrt(col[0], out=col[0])
+                col[1:] /= col[0]
+            for j in range(M - 1, -1, -1):
+                if j + 1 < M:
+                    y[j] -= np.einsum("kb,kb->b", S[j + 1:M, j], y[j + 1:],
+                                      out=self.update[:B])
+                y[j] /= S[j, j]
+        # sqrt of the first pivot <= 0 or nan in a column is <= 0 or nan
+        failed = _first_bad_pivot(S.reshape(-1, B)[:M * M:M + 1] > 0.0)
+        if failed is None:
+            w[...] = y.T
+        return failed
+
+    def close(self) -> None:
+        pass
+
+
+class _Rfp:
+    """A block's systems in RFP storage, factored in place by dpftrf and
+    solved by dpftrs, two LAPACK calls per column.
+
+    form is one GEMM per block against K (N x M(M+1)/2), whose row n
+    holds phi_n phi_n' at the slots of _rfp_layout(M), into one of two
+    buffers: on the worker thread, if sample_codes starts one, block k's
+    is formed while the caller factors block k - 1's in the other.
+    """
+
+    def __init__(self, phi: np.ndarray, L: int):
+        M, N = phi.shape
+        rows, cols, self.diag = _rfp_layout(M)
+        self.K = np.empty((N, len(rows)))
+        for k in range(0, len(rows), M):  # M slots at a time: N x M gathers
+            np.multiply(phi.T[:, rows[k:k + M]], phi.T[:, cols[k:k + M]],
+                        out=self.K[:, k:k + M])
+        self.width = _BLOCK
+        self.buffers = np.empty((2, min(_BLOCK, L), len(rows)))
+        self.worker = None
+        if L > _BLOCK and _BLOCK * N * len(rows) >= _OVERLAP_MACS \
+                and _usable_cpus() >= 2:
+            from concurrent.futures import ThreadPoolExecutor
+            self.worker = ThreadPoolExecutor(max_workers=1)
+
+    def form(self, k: int, inv_alpha: np.ndarray):
+        S = self.buffers[k % 2, :len(inv_alpha)]
+        if self.worker is None:
+            np.matmul(inv_alpha, self.K, out=S)
+            return lambda: S
+        return self.worker.submit(np.matmul, inv_alpha, self.K, out=S).result
+
+    def solve(self, S: np.ndarray, w: np.ndarray):
+        from scipy.linalg.lapack import dpftrf, dpftrs
+
+        M = w.shape[1]
+        S[:, self.diag] += 1.0
+        failed = None
+        # s and b are views of rows of S and w: both calls work in place
+        for j, (s, b) in enumerate(zip(S, w[:, :, None])):
+            _, info = dpftrf(M, s, "T", "U", 1)
+            if info:
+                failed = j, f"dpftrf info {info}"
+                break
+            dpftrs(M, s, b, "T", "U", 1)
+        # dpftrf passes a nan pivot, which leaves a nan on U's diagonal
+        factored = S[:len(S) if failed is None else failed[0]]
+        return _first_bad_pivot((factored[:, self.diag] > 0.0).T) or failed
+
+    def close(self) -> None:
+        if self.worker is not None:
+            self.worker.shutdown()  # waits for a GEMM still running
+
+
+def _first_bad_pivot(ok: np.ndarray):
+    """(b, reason) for the first column b of ok (M x B, whether each
+    factor's diagonal entry is > 0) with an entry that is not, naming
+    its leading minor; None if there is none."""
+    if ok.all():
+        return None
+    b = int(np.argmin(ok.all(axis=0)))
+    return b, f"leading minor {int(np.argmin(ok[:, b])) + 1}"
 
 
 def _usable_cpus() -> int:

@@ -273,9 +273,12 @@ def update_alpha(state: VBState, cfg: ModelConfig) -> None:
     rates += cfg.b
 
 
-def update_gamma(state: VBState, data: TrainingSet, cfg: ModelConfig) -> None:
+def update_gamma(state: VBState, data: TrainingSet, cfg: ModelConfig) -> float:
+    """q(gamma) from the expected residual, which it returns."""
+    resid = expected_residual(state, data)
     state.gamma_shape = data.M * data.L / 2.0 + cfg.c
-    state.gamma_rate = cfg.d + 0.5 * expected_residual(state, data)
+    state.gamma_rate = cfg.d + 0.5 * resid
+    return resid
 
 
 def _gamma_entropy(shape: float, rate) -> np.ndarray:
@@ -284,12 +287,14 @@ def _gamma_entropy(shape: float, rate) -> np.ndarray:
     return shape - np.log(rate) + gammaln(shape) + (1.0 - shape) * digamma(shape)
 
 
-def compute_elbo(state: VBState, data: TrainingSet, cfg: ModelConfig) -> float:
+def compute_elbo(state: VBState, data: TrainingSet, cfg: ModelConfig,
+                 resid: float | None = None) -> float:
     """Evidence lower bound E_q[ln p(Y,X,D,alpha,gamma)] - E_q[ln q].
 
-    With beta = inf the flat dictionary prior contributes only an
-    additive constant, which is dropped; the remaining terms are still
-    monotone under the coordinate updates.
+    resid is expected_residual(state, data), as update_gamma returns it;
+    without it the bound forms it. With beta = inf the flat dictionary
+    prior contributes only an additive constant, which is dropped; the
+    remaining terms are still monotone under the coordinate updates.
     """
     from scipy.special import digamma, gammaln
 
@@ -300,7 +305,8 @@ def compute_elbo(state: VBState, data: TrainingSet, cfg: ModelConfig) -> float:
     e_ln_gamma = float(digamma(state.gamma_shape) - np.log(state.gamma_rate))
     e_gamma = state.gamma_shape / state.gamma_rate
     lik = 0.5 * M * L * (e_ln_gamma - LN_2PI) \
-        - 0.5 * e_gamma * expected_residual(state, data)
+        - 0.5 * e_gamma * (expected_residual(state, data) if resid is None
+                           else resid)
 
     # one N x L buffer holds in turn ln rates, E[ln alpha], <alpha> and
     # <alpha> <x^2>; only the sums over the whole array are kept
@@ -378,8 +384,8 @@ def run_vb(cfg: ModelConfig, data: TrainingSet,
             n_dict = 0
         trace.dict_jitter_fallback_per_iter.append(n_dict)
         update_alpha(state, cfg)
-        update_gamma(state, data, cfg)
-        trace.elbo.append(compute_elbo(state, data, cfg))
+        resid = update_gamma(state, data, cfg)
+        trace.elbo.append(compute_elbo(state, data, cfg, resid))
         denom = float(np.linalg.norm(d_prev)) or 1.0
         change = float(np.linalg.norm(state.dict_mean - d_prev)) / denom
         trace.dict_change.append(change)

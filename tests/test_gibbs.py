@@ -228,7 +228,9 @@ def _assert_dpftrf_failure_named(monkeypatch, shape, column):
 
 def test_sample_codes_names_the_column_dpftrf_rejects(monkeypatch):
     """An RFP factorization failing at column 65, the second block's
-    second column, with each block's GEMM inline."""
+    second column, with each block's GEMM inline. M = 4 takes the slab
+    kernel, which calls no dpftrf, so _SLAB_MAX_M = 0 sends it to RFP."""
+    monkeypatch.setattr(gibbs, "_SLAB_MAX_M", 0)
     _assert_dpftrf_failure_named(monkeypatch, (4, 6, 70), 65)
 
 
@@ -238,6 +240,138 @@ def test_sample_codes_on_the_worker_names_the_column_dpftrf_rejects(
     forms the fourth block's systems."""
     _set_usable_cpus(monkeypatch, {0, 1})
     _assert_dpftrf_failure_named(monkeypatch, (64, 256, 300), 130)
+
+
+def _slab_columns(monkeypatch, M, width):
+    """Make the slab kernel take `width` columns per block at this M."""
+    monkeypatch.setattr(gibbs, "_SLAB_BYTES", 8 * (M + 1) * M * width)
+
+
+@pytest.mark.parametrize("slab_max_m", [None, 0])
+def test_sample_codes_names_a_nan_column(monkeypatch, slab_max_m):
+    """A nan in alpha[:, 65] makes that column's system nan, which the
+    slab kernel (64-column blocks, so column 65 is the second block's
+    second) and RFP (_SLAB_MAX_M = 0) both reject by name."""
+    base, data = fixed_problem(seed=23, M=4, N=6, L=70)
+    base.alpha[:, 65] = np.nan
+    _slab_columns(monkeypatch, 4, 64)
+    if slab_max_m is not None:
+        monkeypatch.setattr(gibbs, "_SLAB_MAX_M", slab_max_m)
+    with pytest.raises(SingularPrecision, match=r"^column 65: "):
+        sample_codes(clone(base), data)
+
+
+def test_slab_names_the_first_column_with_a_bad_pivot():
+    """Of three systems, the second fails at its third pivot (0) and the
+    third at its first (negative): the slab kernel names the second
+    column and its leading minor, as a per-column loop would, and leaves
+    w as it was."""
+    M = 4
+    systems = gibbs._Slab(np.zeros((M, 1)), 3)
+    A = np.stack([np.eye(M), np.eye(M), -np.eye(M)], axis=-1)
+    A[2, 2, 1] = 0.0
+    S = np.empty((M + 1, M, 3))
+    S[:M, :M] = A
+    w = np.ones((3, M))
+    assert systems.solve(S, w) == (1, "leading minor 3")
+    np.testing.assert_array_equal(w, 1.0)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 20, gibbs._SLAB_MAX_M])
+@pytest.mark.parametrize("oracle", [oracles.sample_codes_lu,
+                                    oracles.sample_codes_packed])
+def test_slab_kernel_matches_oracles(monkeypatch, M, oracle):
+    """The slab kernel against the LU and packed dppsv oracles, with
+    column 2 forced dense and 64-column blocks, so L = 150 ends on a
+    ragged block of 22."""
+    base, data = fixed_problem(seed=22, M=M, N=max(3, 5 * M // 2), L=150)
+    force_dense_column(base)
+    _slab_columns(monkeypatch, M, 64)
+    assert_same_draws(base, data, want_dense=1, oracle=oracle)
+
+
+@pytest.mark.parametrize("M, calls", [(gibbs._SLAB_MAX_M, 0),
+                                      (gibbs._SLAB_MAX_M + 1, 90)])
+def test_slab_kernel_calls_no_dpftrf(monkeypatch, M, calls):
+    """At M = _SLAB_MAX_M the code step makes no dpftrf call; one atom
+    more and it makes one per column."""
+    base, data = fixed_problem(seed=22, M=M, N=2 * M, L=90)
+    real_dpftrf = scipy.linalg.lapack.dpftrf
+    counts = []
+
+    def counting(*args):
+        counts.append(1)
+        return real_dpftrf(*args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
+    sample_codes(clone(base), data)
+    assert len(counts) == calls
+
+
+def _assert_block_size_free(base, data, set_block, blocks):
+    """sample_codes under each block size b in `blocks` (set by
+    set_block(b)) gives the same draws to round-off and the same dense
+    count and generator state."""
+    runs = []
+    for b in blocks:
+        set_block(b)
+        st = clone(base)
+        st.rng = np.random.default_rng(99)
+        runs.append((sample_codes(st, data), st.X, st.rng.standard_normal()))
+    for dense, X, after in runs[1:]:
+        assert (dense, after) == (runs[0][0], runs[0][2])
+        np.testing.assert_allclose(X, runs[0][1], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("problem", [lambda: low_rank_problem(L=20),
+                                     lambda: fixed_problem(seed=25, M=20,
+                                                           N=50, L=150)],
+                         ids=["3x6x20", "20x50x150"])
+def test_slab_draws_do_not_depend_on_its_block_size(monkeypatch, problem):
+    """Slabs of 1, 7, 64 and all L columns, column 2 dense."""
+    base, data = problem()
+    force_dense_column(base)
+    _assert_block_size_free(
+        base, data, lambda width: _slab_columns(monkeypatch, data.M, width),
+        (1, 7, 64, data.L))
+
+
+# M <= _SLAB_MAX_M takes the slab kernel, so the sample_codes tests here
+# that use the bench cell or smaller shapes do not reach _Rfp; these run
+# their cases again with _SLAB_MAX_M = 0, which sends every M to it.
+@pytest.fixture
+def rfp_path(monkeypatch):
+    monkeypatch.setattr(gibbs, "_SLAB_MAX_M", 0)
+
+
+def test_rfp_draws_do_not_depend_on_block_size(monkeypatch, rfp_path):
+    """_BLOCK = 1, 7 and L at M = 3, column 2 dense."""
+    base, data = low_rank_problem(L=20)
+    force_dense_column(base)
+    _assert_block_size_free(
+        base, data, lambda block: monkeypatch.setattr(gibbs, "_BLOCK", block),
+        (1, 7, data.L))
+
+
+@pytest.mark.parametrize("oracle", [oracles.sample_codes_lu,
+                                    oracles.sample_codes_packed])
+def test_rfp_matches_oracles_with_dense_column(rfp_path, oracle):
+    """20/50/200: four blocks, the last ragged, column 2 dense."""
+    base, data = fixed_problem(seed=22, M=20, N=50, L=200)
+    force_dense_column(base)
+    assert_same_draws(base, data, want_dense=1, oracle=oracle)
+
+
+def test_rfp_matches_packed_dppsv_oracle_near_kappa_max(rfp_path):
+    test_sample_codes_matches_packed_dppsv_oracle_near_kappa_max()
+
+
+@pytest.mark.parametrize("shape", [(20, 50, 200), (8, 40, 130)])
+def test_rfp_same_draws_with_and_without_worker(monkeypatch, rfp_path,
+                                                shape):
+    """With a dense column and a ragged last block."""
+    test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
+                                                         True)
 
 
 @pytest.mark.parametrize("shape, dense", [((20, 50, 200), True),
@@ -270,9 +404,11 @@ def test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
                                             ((64, 256, 300), 1)])
 def test_sample_codes_starts_a_worker_only_at_scale(monkeypatch, shape,
                                                     workers):
-    """The bench cell's block GEMM (0.67M multiply-adds) runs inline and
-    starts no thread; the image-train shape's (34M) runs on exactly one
-    worker, which is gone when the call returns."""
+    """On the RFP path (_SLAB_MAX_M = 0, since the bench cell's M = 20
+    takes the slab kernel), the bench cell's block GEMM (0.67M
+    multiply-adds) runs inline and starts no thread; the image-train
+    shape's (34M) runs on exactly one worker, which is gone when the
+    call returns."""
     M, N, L = shape
     base, data = fixed_problem(seed=22, M=M, N=N, L=L)
     real_dpftrf = scipy.linalg.lapack.dpftrf
@@ -283,6 +419,7 @@ def test_sample_codes_starts_a_worker_only_at_scale(monkeypatch, shape,
         return real_dpftrf(*args)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
+    monkeypatch.setattr(gibbs, "_SLAB_MAX_M", 0)
     _set_usable_cpus(monkeypatch, {0, 1})
     before = threading.active_count()
     sample_codes(clone(base), data)
@@ -406,6 +543,15 @@ def test_sample_codes_at_image_scale_stays_compact():
     every system was formed in full from an N x M^2 K."""
     state, data = fixed_problem(seed=24, M=64, N=256, L=3721)
     assert _traced_peak(lambda: sample_codes(state, data)) < 8 * 2**20
+
+
+def test_sample_codes_slab_stays_compact():
+    """M = _SLAB_MAX_M = 28, N = 70, L = 1000: the slab kernel takes 322
+    columns per _SLAB_BYTES = 2 MiB slab, so four blocks (the last
+    ragged) go through one slab allocated once. Measured peak traced
+    allocation of one call: 3.6 MiB, of which 2.0 MiB is the slab."""
+    state, data = fixed_problem(seed=24, M=gibbs._SLAB_MAX_M, N=70, L=1000)
+    assert _traced_peak(lambda: sample_codes(state, data)) < 4 * 2**20
 
 
 def test_sample_codes_pinned_by_huge_alpha():

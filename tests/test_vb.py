@@ -887,6 +887,28 @@ def test_run_vb_trace_and_determinism():
     assert tr1.elbo == tr2.elbo
 
 
+def test_run_vb_forms_the_expected_residual_once_per_sweep(monkeypatch):
+    """update_gamma returns the residual it forms and run_vb hands it to
+    compute_elbo, so each sweep forms it once; every bound equals
+    compute_elbo's own, which forms it again."""
+    rng = np.random.default_rng(13)
+    data = TrainingSet.from_matrix(rng.standard_normal((4, 20)))
+    cfg = ModelConfig(num_atoms=5, iters=4, tol=0.0, seed=3, beta=10.0)
+    calls = []
+
+    def counting(state, data):
+        calls.append(1)
+        return expected_residual(state, data)
+
+    monkeypatch.setattr(vb, "expected_residual", counting)
+    _, tr = run_vb(cfg, data)
+    assert len(calls) == 4
+    monkeypatch.setattr(vb, "compute_elbo", lambda state, data, cfg, resid:
+                        compute_elbo(state, data, cfg))
+    _, again = run_vb(cfg, data)
+    assert again.elbo == tr.elbo
+
+
 def test_run_vb_converges_with_loose_tol():
     rng = np.random.default_rng(12)
     data = TrainingSet.from_matrix(rng.standard_normal((4, 20)))
