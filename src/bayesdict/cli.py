@@ -43,6 +43,7 @@ from .fileio import _write, load_matrix, load_pgm, save_matrix, save_pgm
 from .gibbs import estimate_dictionary, run_gibbs
 from .metrics import (
     SUCCESS_THRESHOLD,
+    check_threshold,
     match_and_score,
     psnr,
     psnr_conventional,
@@ -202,6 +203,7 @@ def cmd_bench_synthetic(resolved: dict, out_dir: Path):
         raise ConfigParseError("L_grid, snr_grid, and k_grid must be non-empty")
     # a setting every trial would fail on is rejected before the first
     mcfg = _model_config(resolved)
+    check_threshold(resolved["success_threshold"])
     specs = [SyntheticSpec(M=resolved["M"], N=resolved["num_atoms"], L=L,
                            sparsity=k, snr_db=snr, seed=resolved["seed"])
              for L, snr, k in itertools.product(resolved["L_grid"],

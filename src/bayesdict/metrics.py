@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, ZeroVector
+from .errors import NonPositiveHyperparameter, ShapeMismatch, ZeroVector
 
 SUCCESS_THRESHOLD = 0.01
 
@@ -48,6 +48,14 @@ def _distance_matrix(D_true: np.ndarray, D_learned: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - cos)
 
 
+def check_threshold(threshold: float) -> None:
+    """Atom distances lie in [0, 1]: a threshold outside (0, 1] fixes
+    every score."""
+    if not 0.0 < threshold <= 1.0:  # also rejects nan
+        raise NonPositiveHyperparameter("success_threshold", threshold,
+                                        "in (0, 1]")
+
+
 def match_and_score(D_true: np.ndarray, D_learned: np.ndarray,
                     threshold: float = SUCCESS_THRESHOLD) -> RecoveryReport:
     """Greedy global-minimum matching without replacement.
@@ -55,8 +63,10 @@ def match_and_score(D_true: np.ndarray, D_learned: np.ndarray,
     Repeatedly pairs the closest remaining (true, learned) columns until
     either side is exhausted; success_rate is the fraction of true atoms
     whose match lies under the threshold (unmatched true atoms count as
-    failures). An empty true dictionary has no rate and is rejected.
+    failures). An empty true dictionary has no rate and is rejected, as
+    is a threshold outside (0, 1].
     """
+    check_threshold(threshold)
     if D_true.ndim != 2 or D_learned.ndim != 2 \
             or D_true.shape[0] != D_learned.shape[0] or D_true.shape[1] == 0:
         raise ShapeMismatch(

@@ -238,6 +238,7 @@ def _encode_block(Dn, G, Y, thr, cap):
 def batch_encode(D: np.ndarray, signals: np.ndarray,
                  stop: OmpStop) -> SparseCodes:
     """Code every column of signals independently, preserving order."""
+    D = np.asarray(D, dtype=np.float64)
     signals = np.asarray(signals, dtype=np.float64)
     if D.ndim != 2 or signals.ndim != 2 or D.shape[0] != signals.shape[0]:
         raise DimensionMismatch(
@@ -246,7 +247,7 @@ def batch_encode(D: np.ndarray, signals: np.ndarray,
         bad = np.size(values) - np.count_nonzero(np.isfinite(values))
         if bad:
             raise NonFinite(f"non-finite entries in the OMP {name}: {bad}")
-    Dn, renorm = normalize_dictionary(np.asarray(D, dtype=np.float64))
+    Dn, renorm = normalize_dictionary(D)
     M, N = Dn.shape
     cap = stop.max_sparsity if stop.max_sparsity is not None else min(M, N)
     cap = min(cap, N)
@@ -274,5 +275,5 @@ def omp_encode(D: np.ndarray, y: np.ndarray, stop: OmpStop) -> SparseCode:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise DimensionMismatch(
-            f"dictionary {D.shape} incompatible with signal {y.shape}")
+            f"dictionary {np.shape(D)} incompatible with signal {y.shape}")
     return batch_encode(D, y[:, None], stop)[0]

@@ -278,8 +278,14 @@ def test_bench_rejects_negative_seed(tmp_path, capsys):
      "sparsity must be a valid sparsity or (lo, hi) range, got 0"),
     (("iters = 15\n", "iters = 15\ndict_estimate_mode = average_tail(16)\n"),
      "average_tail(16) averages 16 sweeps, a chain of iters=15 has 15"),
+    # an atom distance lies in [0, 1], so these fixed the score at 1 and 0
+    (("iters = 15\n", "iters = 15\nsuccess_threshold = 5\n"),
+     "success_threshold must be in (0, 1], got 5.0"),
+    (("iters = 15\n", "iters = 15\nsuccess_threshold = -1\n"),
+     "success_threshold must be in (0, 1], got -1.0"),
 ], ids=["a", "L_grid", "k_grid_above_num_atoms", "snr_grid_minus_inf",
-        "k_grid_zero", "tail_above_iters"])
+        "k_grid_zero", "tail_above_iters", "success_threshold_5",
+        "success_threshold_minus_1"])
 def test_bench_rejects_model_settings_before_any_trial(tmp_path, capsys, edit,
                                                        message):
     """A setting train would reject up front, or a grid value no trial

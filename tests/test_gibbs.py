@@ -119,20 +119,6 @@ def force_dense_column(state, l=2):
     state.alpha[0, l] = 1e-12
 
 
-def test_sample_codes_stream_independent_of_block_size(monkeypatch):
-    base, data = low_rank_problem(L=20)
-    force_dense_column(base)
-    draws = []
-    for block in (1, 7, data.L):
-        monkeypatch.setattr(gibbs, "_BLOCK", block)
-        st = clone(base)
-        st.rng = np.random.default_rng(99)
-        assert sample_codes(st, data) == 1
-        draws.append(st.X)
-    for X in draws[1:]:
-        np.testing.assert_allclose(X, draws[0], rtol=1e-12, atol=1e-12)
-
-
 def test_sample_codes_ill_conditioned_column_takes_dense_draw():
     base, data = low_rank_problem()
     l = 2
@@ -205,6 +191,19 @@ def _set_usable_cpus(monkeypatch, cpus):
                         raising=False)
 
 
+def _threads_at_each_dpftrf(monkeypatch):
+    """A list that gets the process's thread count at each dpftrf call."""
+    real_dpftrf = scipy.linalg.lapack.dpftrf
+    counts = []
+
+    def counting(*args):
+        counts.append(threading.active_count())
+        return real_dpftrf(*args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
+    return counts
+
+
 def _assert_dpftrf_failure_named(monkeypatch, shape, column):
     """dpftrf failing at `column` raises SingularPrecision naming it,
     after exactly that many calls, and leaves no worker thread running."""
@@ -228,9 +227,11 @@ def _assert_dpftrf_failure_named(monkeypatch, shape, column):
 
 def test_sample_codes_names_the_column_dpftrf_rejects(monkeypatch):
     """An RFP factorization failing at column 65, the second block's
-    second column, with each block's GEMM inline. M = 4 takes the slab
-    kernel, which calls no dpftrf, so _SLAB_MAX_M = 0 sends it to RFP."""
+    second column, with each block's GEMM inline on one usable CPU. M = 4
+    takes the slab kernel, which calls no dpftrf, so _SLAB_MAX_M = 0
+    sends it to RFP."""
     monkeypatch.setattr(gibbs, "_SLAB_MAX_M", 0)
+    _set_usable_cpus(monkeypatch, {0})
     _assert_dpftrf_failure_named(monkeypatch, (4, 6, 70), 65)
 
 
@@ -366,59 +367,50 @@ def test_rfp_matches_packed_dppsv_oracle_near_kappa_max(rfp_path):
     test_sample_codes_matches_packed_dppsv_oracle_near_kappa_max()
 
 
-@pytest.mark.parametrize("shape", [(20, 50, 200), (8, 40, 130)])
-def test_rfp_same_draws_with_and_without_worker(monkeypatch, rfp_path,
-                                                shape):
-    """With a dense column and a ragged last block."""
-    test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
-                                                         True)
-
-
 @pytest.mark.parametrize("shape, dense", [((20, 50, 200), True),
                                           ((64, 256, 300), False),
                                           ((8, 40, 130), True)])
 def test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
                                                          dense):
-    """The worker only moves each block's system GEMM off the calling
-    thread, so forcing it on (_OVERLAP_MACS = 0) and off (inf) gives the
-    same draws, dense count and generator state, bit for bit. No L is a
+    """The worker only moves each RFP block's system GEMM off the calling
+    thread, so two usable CPUs (one worker thread) and one (none) give
+    the same draws, dense count and generator state, bit for bit.
+    _SLAB_MAX_M = 0 sends the two small shapes to RFP. No L is a
     multiple of _BLOCK, so each run ends on a short block."""
     M, N, L = shape
     base, data = fixed_problem(seed=22, M=M, N=N, L=L)
     if dense:
         force_dense_column(base)
-    _set_usable_cpus(monkeypatch, {0, 1})
+    counts = _threads_at_each_dpftrf(monkeypatch)
+    monkeypatch.setattr(gibbs, "_SLAB_MAX_M", 0)
+    before = threading.active_count()
     runs = []
-    for macs in (0, np.inf):
-        monkeypatch.setattr(gibbs, "_OVERLAP_MACS", macs)
+    for cpus in ({0, 1}, {0}):
+        _set_usable_cpus(monkeypatch, cpus)
+        counts.clear()
         st = clone(base)
         st.rng = np.random.default_rng(31)
         runs.append((sample_codes(st, data), st.X, st.rng.standard_normal()))
+        assert set(counts) == {before + len(cpus) - 1}
     (dense_on, X_on, next_on), (dense_off, X_off, next_off) = runs
     assert dense_on == dense_off == int(dense)
     np.testing.assert_array_equal(X_on, X_off)
     assert next_on == next_off
 
 
-@pytest.mark.parametrize("shape, workers", [((20, 50, 200), 0),
-                                            ((64, 256, 300), 1)])
+@pytest.mark.parametrize("shape, workers", [((64, 256, 64), 0),
+                                            ((64, 256, 300), 1),
+                                            ((20, 50, 200), 1)])
 def test_sample_codes_starts_a_worker_only_at_scale(monkeypatch, shape,
                                                     workers):
     """On the RFP path (_SLAB_MAX_M = 0, since the bench cell's M = 20
-    takes the slab kernel), the bench cell's block GEMM (0.67M
-    multiply-adds) runs inline and starts no thread; the image-train
-    shape's (34M) runs on exactly one worker, which is gone when the
-    call returns."""
+    takes the slab kernel) with two usable CPUs, a call of more than one
+    block runs on exactly one worker, which is gone when the call
+    returns, whatever its GEMM size; a one-block call has nothing to
+    overlap and starts none."""
     M, N, L = shape
     base, data = fixed_problem(seed=22, M=M, N=N, L=L)
-    real_dpftrf = scipy.linalg.lapack.dpftrf
-    counts = []
-
-    def counting(*args):
-        counts.append(threading.active_count())
-        return real_dpftrf(*args)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
+    counts = _threads_at_each_dpftrf(monkeypatch)
     monkeypatch.setattr(gibbs, "_SLAB_MAX_M", 0)
     _set_usable_cpus(monkeypatch, {0, 1})
     before = threading.active_count()
@@ -426,35 +418,6 @@ def test_sample_codes_starts_a_worker_only_at_scale(monkeypatch, shape,
     assert len(counts) == L
     assert set(counts) == {before + workers}
     assert threading.active_count() == before
-
-
-def test_sample_codes_on_one_cpu_runs_inline(monkeypatch):
-    """A process that may use one CPU has nothing to overlap, so the
-    image-train shape starts no worker there, and its draws, dense count
-    and generator state equal the inline path's (_OVERLAP_MACS = inf on
-    two CPUs) bit for bit."""
-    base, data = fixed_problem(seed=22, M=64, N=256, L=300)
-    real_dpftrf = scipy.linalg.lapack.dpftrf
-    counts = []
-
-    def counting(*args):
-        counts.append(threading.active_count())
-        return real_dpftrf(*args)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
-    before = threading.active_count()
-    runs = []
-    for cpus, macs in (({0}, gibbs._OVERLAP_MACS), ({0, 1}, np.inf)):
-        _set_usable_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(gibbs, "_OVERLAP_MACS", macs)
-        st = clone(base)
-        st.rng = np.random.default_rng(31)
-        runs.append((sample_codes(st, data), st.X, st.rng.standard_normal()))
-    assert set(counts) == {before}
-    (dense_one, X_one, next_one), (dense_inline, X_inline, next_inline) = runs
-    assert dense_one == dense_inline
-    np.testing.assert_array_equal(X_one, X_inline)
-    assert next_one == next_inline
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):

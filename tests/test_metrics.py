@@ -12,7 +12,11 @@ from bayesdict import (
     psnr_conventional,
     reconstruction_error,
 )
-from bayesdict.errors import ShapeMismatch, ZeroVector
+from bayesdict.errors import (
+    NonPositiveHyperparameter,
+    ShapeMismatch,
+    ZeroVector,
+)
 
 
 def test_atom_distance_basic_geometry():
@@ -117,6 +121,18 @@ def test_match_rejects_empty_true_dictionary():
         match_and_score(np.zeros((4, 0)), np.eye(4))
     # an empty learned dictionary still matches nothing
     assert match_and_score(np.eye(4), np.zeros((4, 0))).success_rate == 0.0
+
+
+def test_match_rejects_threshold_outside_unit_interval():
+    """Atom distances lie in [0, 1], so a threshold above 1 scores every
+    match a success and one at or below 0 scores none."""
+    for threshold in (0.0, -1.0, 1.5, 5.0, math.nan):
+        with pytest.raises(NonPositiveHyperparameter,
+                           match=r"^success_threshold must be in \(0, 1\]"):
+            match_and_score(np.eye(3), np.eye(3), threshold=threshold)
+    # the closed end is allowed: an orthogonal match (distance 1) fails it
+    e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    assert match_and_score(e1, e2, threshold=1.0).success_rate == 0.0
 
 
 def test_psnr_printed_formula_and_conventional():

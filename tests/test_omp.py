@@ -289,6 +289,19 @@ def test_dimension_errors():
         omp_encode(np.eye(3), np.zeros((3, 1)), OmpStop(max_sparsity=1))
     with pytest.raises(DimensionMismatch):
         batch_encode(np.eye(3), np.zeros((4, 2)), OmpStop(max_sparsity=1))
+    with pytest.raises(DimensionMismatch):  # a list has no .shape
+        omp_encode([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 1)),
+                   OmpStop(max_sparsity=1))
+
+
+def test_batch_encode_takes_a_nested_list_dictionary():
+    """A dictionary given as nested lists codes as its array does, as the
+    signals already did, rather than failing on a list's missing ndim."""
+    stop = OmpStop(max_sparsity=1)
+    got = batch_encode([[1.0, 0.0], [0.0, 1.0]], np.ones((2, 3)), stop)
+    want = batch_encode(np.eye(2), np.ones((2, 3)), stop)
+    for name in ("indptr", "indices", "coeffs", "residual_norms"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
