@@ -367,22 +367,30 @@ def test_rfp_matches_packed_dppsv_oracle_near_kappa_max(rfp_path):
     test_sample_codes_matches_packed_dppsv_oracle_near_kappa_max()
 
 
+@pytest.mark.parametrize("shape", [(20, 50, 200), (8, 40, 130)])
+def test_rfp_same_draws_with_and_without_worker(monkeypatch, rfp_path,
+                                                shape):
+    """With a dense column and a ragged last block."""
+    test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
+                                                         True)
+
+
 @pytest.mark.parametrize("shape, dense", [((20, 50, 200), True),
                                           ((64, 256, 300), False),
                                           ((8, 40, 130), True)])
 def test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
                                                          dense):
     """The worker only moves each RFP block's system GEMM off the calling
-    thread, so two usable CPUs (one worker thread) and one (none) give
-    the same draws, dense count and generator state, bit for bit.
-    _SLAB_MAX_M = 0 sends the two small shapes to RFP. No L is a
-    multiple of _BLOCK, so each run ends on a short block."""
+    thread, so two usable CPUs (one worker thread at every dpftrf) and
+    one (none) give the same draws, dense count and generator state, bit
+    for bit. On the slab kernel (M <= _SLAB_MAX_M) neither run calls
+    dpftrf or starts a thread. No L is a multiple of _BLOCK, so each RFP
+    run ends on a short block."""
     M, N, L = shape
     base, data = fixed_problem(seed=22, M=M, N=N, L=L)
     if dense:
         force_dense_column(base)
     counts = _threads_at_each_dpftrf(monkeypatch)
-    monkeypatch.setattr(gibbs, "_SLAB_MAX_M", 0)
     before = threading.active_count()
     runs = []
     for cpus in ({0, 1}, {0}):
@@ -391,7 +399,11 @@ def test_sample_codes_same_draws_with_and_without_worker(monkeypatch, shape,
         st = clone(base)
         st.rng = np.random.default_rng(31)
         runs.append((sample_codes(st, data), st.X, st.rng.standard_normal()))
-        assert set(counts) == {before + len(cpus) - 1}
+        if M > gibbs._SLAB_MAX_M:
+            assert set(counts) == {before + len(cpus) - 1}
+        else:
+            assert counts == []
+        assert threading.active_count() == before
     (dense_on, X_on, next_on), (dense_off, X_off, next_off) = runs
     assert dense_on == dense_off == int(dense)
     np.testing.assert_array_equal(X_on, X_off)
@@ -418,6 +430,20 @@ def test_sample_codes_starts_a_worker_only_at_scale(monkeypatch, shape,
     assert len(counts) == L
     assert set(counts) == {before + workers}
     assert threading.active_count() == before
+
+
+def test_sample_codes_on_one_cpu_runs_inline(monkeypatch):
+    """A process that may use one CPU has nothing to overlap, so the
+    image-train shape starts no worker there, and its inline draws match
+    the packed dppsv oracle's."""
+    base, data = fixed_problem(seed=22, M=64, N=256, L=300)
+    counts = _threads_at_each_dpftrf(monkeypatch)
+    _set_usable_cpus(monkeypatch, {0})
+    before = threading.active_count()
+    assert_same_draws(base, data, want_dense=0,
+                      oracle=oracles.sample_codes_packed)
+    assert len(counts) == data.L
+    assert set(counts) == {before}
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
