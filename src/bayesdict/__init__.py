@@ -12,7 +12,7 @@ test_import_and_denoise_load_no_scipy enforces this.
 """
 
 from . import errors
-from .gibbs import ChainTrace, estimate_dictionary, run_gibbs
+from .gibbs import estimate_dictionary, run_gibbs
 from .metrics import (
     RecoveryReport,
     atom_distance,
@@ -24,6 +24,7 @@ from .metrics import (
 from .model import (
     GibbsState,
     ModelConfig,
+    Trace,
     TrainingSet,
     VBState,
     initialize_gibbs_state,
@@ -41,7 +42,6 @@ from .patches import extract_patches, map_patches
 from .synthetic import SyntheticSpec, generate_synthetic, snr_to_noise_std
 from .vb import (
     VBMoments,
-    VBTrace,
     compute_elbo,
     moments_from_state,
     run_vb,
@@ -55,14 +55,14 @@ from .vb import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainTrace", "GibbsState", "ModelConfig", "OmpStop", "RecoveryReport",
-    "SparseCode", "SparseCodes", "SyntheticSpec", "TrainingSet",
-    "VBMoments", "VBState", "VBTrace", "atom_distance", "batch_encode",
-    "compute_elbo", "errors", "estimate_dictionary", "extract_patches",
-    "generate_synthetic", "initialize_gibbs_state", "initialize_vb_state",
-    "map_patches", "match_and_score", "moments_from_state",
-    "normalize_dictionary", "omp_encode", "psnr", "psnr_conventional",
-    "reconstruction_error", "run_gibbs", "run_vb", "snr_to_noise_std",
-    "update_alpha", "update_codes", "update_dictionary_atomwise",
-    "update_dictionary_full", "update_gamma",
+    "GibbsState", "ModelConfig", "OmpStop", "RecoveryReport", "SparseCode",
+    "SparseCodes", "SyntheticSpec", "Trace", "TrainingSet", "VBMoments",
+    "VBState", "atom_distance", "batch_encode", "compute_elbo", "errors",
+    "estimate_dictionary", "extract_patches", "generate_synthetic",
+    "initialize_gibbs_state", "initialize_vb_state", "map_patches",
+    "match_and_score", "moments_from_state", "normalize_dictionary",
+    "omp_encode", "psnr", "psnr_conventional", "reconstruction_error",
+    "run_gibbs", "run_vb", "snr_to_noise_std", "update_alpha",
+    "update_codes", "update_dictionary_atomwise", "update_dictionary_full",
+    "update_gamma",
 ]

@@ -47,7 +47,6 @@ from .metrics import (
     match_and_score,
     psnr,
     psnr_conventional,
-    reconstruction_error,
 )
 from .model import ModelConfig, TrainingSet
 from .omp import OmpStop, batch_encode
@@ -145,30 +144,15 @@ def _resolve_config(args, schema_for) -> dict:
 
 def _fit(engine: str, mcfg: ModelConfig, data: TrainingSet):
     """Run one engine; returns (dictionary estimate, trace.tsv columns as
-    name -> per-sweep values, report metrics)."""
+    name -> per-sweep values, report metrics). The estimate is the mean
+    of the chain's kept samples for Gibbs and <D> for VB."""
     if engine == "gibbs":
-        trace, _ = run_gibbs(mcfg, data)
+        _, trace = run_gibbs(mcfg, data)
         D = estimate_dictionary(trace)
-        columns = {"residual": trace.residual_per_iter,
-                   "gamma": trace.gamma_per_iter}
-        metrics = {
-            "iterations_run": mcfg.iters,
-            "final_residual": trace.residual_per_iter[-1],
-            "dense_fallback_columns": sum(trace.dense_fallback_per_iter),
-        }
-        return D, columns, metrics
-    state, trace = run_vb(mcfg, data, variant=engine.removeprefix("vb-"))
-    columns = {"elbo": trace.elbo, "dict_change": trace.dict_change}
-    metrics = {
-        "iterations_run": trace.iterations_run,
-        "converged": trace.converged,
-        "elbo_final": trace.elbo[-1],
-        "final_residual": reconstruction_error(data.Y, state.dict_mean,
-                                               state.code_means),
-        "jitter_fallback_columns": sum(trace.jitter_fallback_per_iter),
-        "jitter_fallback_dictionary": sum(trace.dict_jitter_fallback_per_iter),
-    }
-    return state.dict_mean, columns, metrics
+    else:
+        state, trace = run_vb(mcfg, data, variant=engine.removeprefix("vb-"))
+        D = state.dict_mean
+    return D, trace.columns, trace.results
 
 
 def _write_tsv(path: Path, rows) -> None:

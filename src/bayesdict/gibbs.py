@@ -31,7 +31,7 @@ SingularPrecision naming the column. The solve loses about
 eps * kappa_l of relative accuracy, with
 kappa_l = 1 + g sum_n ||d_n||^2 / alpha_nl bounding its condition
 number, so columns with kappa_l above _KAPPA_MAX are drawn by a dense
-N x N Cholesky factorization instead; ChainTrace counts them per sweep.
+N x N Cholesky factorization instead; the run's Trace counts them.
 After every sweep a non-finite gamma, D or X raises NonFinite.
 
 On the RFP path, when a call has more than one block and the process
@@ -48,7 +48,6 @@ within ~10% either way at 16 or more blocks and lost at 3-5 blocks
 """
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from .linalg import _rfp_layout, spd_factor
 from .model import (
     GibbsState,
     ModelConfig,
+    Trace,
     TrainingSet,
     _atom_sweep,
     initialize_gibbs_state,
@@ -99,18 +99,6 @@ _SLAB_MAX_M = 28
 # (one block) took 3.4 against 4.1 ms per call, but raised synth-gibbs's
 # peak RSS over the RFP path's by 4.3 MiB, against 2.3 MiB at 2 MiB.
 _SLAB_BYTES = 2**21
-
-
-@dataclass
-class ChainTrace:
-    """D after each of the last k of cfg.iters sweeps (k from
-    cfg.dict_estimate_mode), the ones estimate_dictionary averages (so
-    kept_dicts[-1] is the final D), plus per-sweep diagnostics."""
-
-    kept_dicts: list = field(default_factory=list)
-    residual_per_iter: list = field(default_factory=list)
-    gamma_per_iter: list = field(default_factory=list)
-    dense_fallback_per_iter: list = field(default_factory=list)
 
 
 def sample_codes(state: GibbsState, data: TrainingSet) -> int:
@@ -386,25 +374,26 @@ def sample_gamma(state: GibbsState, data: TrainingSet,
     return sq_resid
 
 
-def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[ChainTrace, GibbsState]:
+def run_gibbs(cfg: ModelConfig, data: TrainingSet) -> tuple[GibbsState, Trace]:
     """Run the chain for cfg.iters sweeps, keeping D after each of the
     last k = parse_estimate_mode(cfg.dict_estimate_mode), the ones
-    estimate_dictionary averages."""
+    estimate_dictionary averages; kept_dicts[-1] is the final D."""
     state = initialize_gibbs_state(cfg, data)
-    trace = ChainTrace()
+    trace = Trace()
     k = parse_estimate_mode(cfg.dict_estimate_mode)
+    n_dense = 0
     for t in range(1, cfg.iters + 1):
-        n_dense = sample_codes(state, data)
+        n_dense += sample_codes(state, data)
         sample_atoms(state, data, cfg.beta)
         sample_alpha(state, cfg)
         sq_resid = sample_gamma(state, data, cfg)
         _check_finite(state, t)
-        trace.residual_per_iter.append(float(np.sqrt(sq_resid)))
-        trace.gamma_per_iter.append(state.gamma)
-        trace.dense_fallback_per_iter.append(n_dense)
+        trace.record(residual=float(np.sqrt(sq_resid)), gamma=state.gamma)
         if t > cfg.iters - k:
             trace.kept_dicts.append(state.D.copy())
-    return trace, state
+    trace.results.update(final_residual=trace.columns["residual"][-1],
+                         dense_fallback_columns=n_dense)
+    return state, trace
 
 
 def _check_finite(state: GibbsState, sweep: int) -> None:
@@ -416,7 +405,7 @@ def _check_finite(state: GibbsState, sweep: int) -> None:
             raise NonFinite(f"sweep {sweep}: {name} is not finite")
 
 
-def estimate_dictionary(trace: ChainTrace) -> np.ndarray:
+def estimate_dictionary(trace: Trace) -> np.ndarray:
     """The mean of the kept samples, the last k sweeps of a run_gibbs
     chain; a trace a caller built with none raises EmptyTrace."""
     if not trace.kept_dicts:

@@ -8,13 +8,14 @@ density ~ t^(shape-1) exp(-rate * t), mean = shape / rate.
 
 Both inference engines consume the same ModelConfig / TrainingSet pair
 and share the dictionary initialization, so a VB run and a Gibbs run
-with the same seed start from the same atoms.
+with the same seed start from the same atoms. Both return
+(state, Trace), and a Trace holds what the run reports.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,6 +163,33 @@ class GibbsState:
     alpha: np.ndarray
     gamma: float
     rng: np.random.Generator
+
+
+@dataclass
+class Trace:
+    """What a run_gibbs or run_vb run reports, in the order train writes it.
+
+    columns    : name -> per-sweep values, trace.tsv's columns in order.
+    results    : name -> run-level value, report.txt's [metrics] in
+                 order, iterations_run first; a fallback count is the
+                 total over the run.
+    kept_dicts : D after each sweep of the window that
+                 gibbs.estimate_dictionary averages (Gibbs only).
+    """
+
+    columns: dict = field(default_factory=dict)
+    results: dict = field(default_factory=lambda: {"iterations_run": 0})
+    kept_dicts: list = field(default_factory=list)
+
+    @property
+    def iterations_run(self) -> int:
+        return self.results["iterations_run"]
+
+    def record(self, **values) -> None:
+        """Close a sweep: append each column's value and count the sweep."""
+        for name, value in values.items():
+            self.columns.setdefault(name, []).append(value)
+        self.results["iterations_run"] += 1
 
 
 _TAIL_RE = re.compile(r"^average_tail\((\d+)\)$")

@@ -33,7 +33,7 @@ Both leave dict_row_cov in a shape where <D'D> = <D>'<D> + M *
 dict_row_cov holds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,10 @@ from .errors import (
     SingularPrecision,
 )
 from .linalg import _rfp_layout, _rfp_unpack, spd_factor, spd_logdet
+from .metrics import reconstruction_error
 from .model import (
     ModelConfig,
+    Trace,
     TrainingSet,
     VBState,
     _atom_sweep,
@@ -349,48 +351,43 @@ def compute_elbo(state: VBState, data: TrainingSet, cfg: ModelConfig,
     return float(elbo)
 
 
-@dataclass
-class VBTrace:
-    """Per-sweep diagnostics from run_vb."""
-
-    elbo: list = field(default_factory=list)
-    dict_change: list = field(default_factory=list)
-    jitter_fallback_per_iter: list = field(default_factory=list)
-    dict_jitter_fallback_per_iter: list = field(default_factory=list)
-    iterations_run: int = 0
-    converged: bool = False
-
-
 def run_vb(cfg: ModelConfig, data: TrainingSet,
-           variant: str = "full") -> tuple[VBState, VBTrace]:
+           variant: str = "full") -> tuple[VBState, Trace]:
     """Coordinate ascent until the dictionary stabilizes or the budget ends.
 
     variant selects the dictionary update: "full" refreshes the whole
     matrix jointly, "atomwise" sweeps atoms sequentially. Stopping is
     cfg.iters sweeps or relative Frobenius change of <D> below cfg.tol;
-    hitting the budget is normal, left on the trace as converged=False.
+    hitting the budget is normal, left in trace.results as converged=False.
     """
     if variant not in ("full", "atomwise"):
         raise ConfigParseError(f"unknown variant {variant!r}")
     state = initialize_vb_state(cfg, data)
-    trace = VBTrace()
-    for sweep in range(cfg.iters):
+    trace = Trace()
+    n_codes = n_dict = 0
+    converged = False
+    for _ in range(cfg.iters):
         d_prev = state.dict_mean.copy()
-        trace.jitter_fallback_per_iter.append(update_codes(state, data))
+        n_codes += update_codes(state, data)
         if variant == "full":
-            n_dict = update_dictionary_full(state, data, cfg.beta)
+            n_dict += update_dictionary_full(state, data, cfg.beta)
         else:
             update_dictionary_atomwise(state, data, cfg.beta)
-            n_dict = 0
-        trace.dict_jitter_fallback_per_iter.append(n_dict)
         update_alpha(state, cfg)
         resid = update_gamma(state, data, cfg)
-        trace.elbo.append(compute_elbo(state, data, cfg, resid))
+        elbo = compute_elbo(state, data, cfg, resid)
         denom = float(np.linalg.norm(d_prev)) or 1.0
         change = float(np.linalg.norm(state.dict_mean - d_prev)) / denom
-        trace.dict_change.append(change)
-        trace.iterations_run = sweep + 1
+        trace.record(elbo=elbo, dict_change=change)
         if change < cfg.tol:
-            trace.converged = True
+            converged = True
             break
+    trace.results.update(
+        converged=converged,
+        elbo_final=trace.columns["elbo"][-1],
+        final_residual=reconstruction_error(data.Y, state.dict_mean,
+                                            state.code_means),
+        jitter_fallback_columns=n_codes,
+        jitter_fallback_dictionary=n_dict,
+    )
     return state, trace

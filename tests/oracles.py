@@ -168,7 +168,8 @@ def sample_codes_dense(state, data, normals=None):
     Column l factors its own N x N precision P = g D'D + diag(alpha_l) and
     returns P^-1 g D'y_l + L^-T z_l, L the lower Cholesky factor. normals
     (N x L) supplies z; without it each column draws N fresh normals from
-    state.rng, in column order.
+    state.rng, in column order. Returns data.L, the count of densely
+    drawn columns that sample_codes returns.
     """
     D, gamma = state.D, state.gamma
     N = D.shape[1]
@@ -181,6 +182,7 @@ def sample_codes_dense(state, data, normals=None):
         z = state.rng.standard_normal(N) if normals is None else normals[:, l]
         state.X[:, l] = mean + scipy.linalg.solve_triangular(
             chol, z, lower=True, trans=1)
+    return data.L
 
 
 def sample_codes_lu(state, data, block=64, kappa_max=1e6):

@@ -21,14 +21,13 @@ from bayesdict.errors import (
     SingularPrecision,
 )
 from bayesdict.gibbs import (
-    ChainTrace,
     sample_alpha,
     sample_atoms,
     sample_codes,
     sample_gamma,
 )
 from bayesdict.linalg import _rfp_layout, _rfp_unpack
-from bayesdict.model import GibbsState
+from bayesdict.model import GibbsState, Trace
 
 import oracles
 
@@ -55,23 +54,41 @@ def clone(state):
                       rng=state.rng)
 
 
-def test_sample_codes_moments():
+def draw_tiled(base, data, copies):
+    """copies draws of every code column of (base, data) from one
+    sample_codes call on the problem tiled copies times, as a
+    (copies, N, L) array, and the call's count of dense columns.
+
+    The tiled columns are independent given D and gamma, so the draws of
+    one column are as independent as those of copies separate calls.
+    """
+    N, L = base.X.shape
+    st = GibbsState(X=np.tile(base.X, copies), D=base.D,
+                    alpha=np.tile(base.alpha, copies), gamma=base.gamma,
+                    rng=base.rng)
+    n_dense = sample_codes(st, TrainingSet.from_matrix(
+        np.tile(data.Y, copies)))
+    return st.X.reshape(N, copies, L).transpose(1, 0, 2), n_dense
+
+
+# _SLAB_MAX_M as set, so M = 2 and 3 take the slab kernel, then 0: RFP
+KERNELS = (gibbs._SLAB_MAX_M, 0)
+
+
+def test_sample_codes_moments(monkeypatch):
     base, data = fixed_problem(seed=0)
-    draws = np.empty((N_DRAWS, 2, 2))
-    st = clone(base)
-    for t in range(N_DRAWS):
-        st.X = base.X.copy()
-        sample_codes(st, data)
-        draws[t] = st.X
-    for l in range(2):
-        mean, cov = oracles.code_conditional_moments(
-            base.D, base.alpha[:, l], base.gamma, data.Y[:, l])
-        got = draws[:, :, l]
-        se = oracles.mean_se(got)
-        assert np.all(np.abs(got.mean(axis=0) - mean) < 3.0 * se)
-        emp_cov = np.cov(got.T)
-        cse = oracles.cov_se(cov, N_DRAWS)
-        assert np.all(np.abs(emp_cov - cov) < 3.0 * cse)
+    for slab_max_m in KERNELS:
+        monkeypatch.setattr(gibbs, "_SLAB_MAX_M", slab_max_m)
+        draws, _ = draw_tiled(base, data, N_DRAWS)
+        for l in range(2):
+            mean, cov = oracles.code_conditional_moments(
+                base.D, base.alpha[:, l], base.gamma, data.Y[:, l])
+            got = draws[:, :, l]
+            se = oracles.mean_se(got)
+            assert np.all(np.abs(got.mean(axis=0) - mean) < 3.0 * se)
+            emp_cov = np.cov(got.T)
+            cse = oracles.cov_se(cov, N_DRAWS)
+            assert np.all(np.abs(emp_cov - cov) < 3.0 * cse)
 
 
 def low_rank_problem(L=4):
@@ -83,7 +100,7 @@ def low_rank_problem(L=4):
     return state, data
 
 
-def test_sample_codes_moments_low_rank():
+def test_sample_codes_moments_low_rank(monkeypatch):
     """Draws whitened by the oracle's conditional moments are N(0, I).
 
     Whitening column l by its exact mean and Cholesky factor makes every
@@ -94,23 +111,23 @@ def test_sample_codes_moments_low_rank():
     """
     base, data = low_rank_problem()
     N, L = base.X.shape
-    draws = np.empty((N_DRAWS, N, L))
-    st = clone(base)
-    for t in range(N_DRAWS):
-        assert sample_codes(st, data) == 0
-        draws[t] = st.X
-    white = []
-    for l in range(L):
-        mean, cov = oracles.code_conditional_moments(
-            base.D, base.alpha[:, l], base.gamma, data.Y[:, l])
-        chol = np.linalg.cholesky(cov)
-        white.append(np.linalg.solve(chol, (draws[:, :, l] - mean).T).T)
-    white = np.vstack(white)
-    assert np.all(np.abs(white.mean(axis=0)) < 3.0 * oracles.mean_se(white))
-    upper = np.triu_indices(N)
-    cov_gap = np.abs(np.cov(white.T) - np.eye(N))[upper]
-    cse = oracles.cov_se(np.eye(N), white.shape[0])[upper]
-    assert np.all(cov_gap < 3.0 * cse)
+    for slab_max_m in KERNELS:
+        monkeypatch.setattr(gibbs, "_SLAB_MAX_M", slab_max_m)
+        draws, n_dense = draw_tiled(base, data, N_DRAWS)
+        assert n_dense == 0
+        white = []
+        for l in range(L):
+            mean, cov = oracles.code_conditional_moments(
+                base.D, base.alpha[:, l], base.gamma, data.Y[:, l])
+            chol = np.linalg.cholesky(cov)
+            white.append(np.linalg.solve(chol, (draws[:, :, l] - mean).T).T)
+        white = np.vstack(white)
+        assert np.all(np.abs(white.mean(axis=0))
+                      < 3.0 * oracles.mean_se(white))
+        upper = np.triu_indices(N)
+        cov_gap = np.abs(np.cov(white.T) - np.eye(N))[upper]
+        cse = oracles.cov_se(np.eye(N), white.shape[0])[upper]
+        assert np.all(cov_gap < 3.0 * cse)
 
 
 def force_dense_column(state, l=2):
@@ -807,12 +824,12 @@ def test_run_gibbs_is_deterministic():
     rng = np.random.default_rng(7)
     data = TrainingSet.from_matrix(rng.standard_normal((4, 12)))
     cfg = ModelConfig(num_atoms=5, iters=12, beta=1.0, seed=9)
-    tr1, st1 = run_gibbs(cfg, data)
-    tr2, st2 = run_gibbs(cfg, data)
+    st1, tr1 = run_gibbs(cfg, data)
+    st2, tr2 = run_gibbs(cfg, data)
     np.testing.assert_array_equal(st1.D, st2.D)
     np.testing.assert_array_equal(st1.X, st2.X)
-    assert tr1.residual_per_iter == tr2.residual_per_iter
-    assert tr1.gamma_per_iter == tr2.gamma_per_iter
+    assert tr1.columns["residual"] == tr2.columns["residual"]
+    assert tr1.columns["gamma"] == tr2.columns["gamma"]
     for a, b in zip(tr1.kept_dicts, tr2.kept_dicts):
         np.testing.assert_array_equal(a, b)
 
@@ -825,15 +842,31 @@ def test_run_gibbs_keeps_exactly_the_averaged_tail():
     data = TrainingSet.from_matrix(rng.standard_normal((3, 8)))
     cfg = ModelConfig(num_atoms=3, iters=11, beta=1.0, seed=1,
                       dict_estimate_mode="average_tail(3)")
-    trace, _ = run_gibbs(cfg, data)
+    _, trace = run_gibbs(cfg, data)
     assert len(trace.kept_dicts) == 3
-    assert len(trace.residual_per_iter) == 11
-    assert len(trace.gamma_per_iter) == 11
-    assert len(trace.dense_fallback_per_iter) == 11
+    assert len(trace.columns["residual"]) == 11
+    assert len(trace.columns["gamma"]) == 11
+    assert trace.iterations_run == 11
     for i, kept in enumerate(trace.kept_dicts):
-        _, shorter = run_gibbs(
+        shorter, _ = run_gibbs(
             ModelConfig(num_atoms=3, iters=9 + i, beta=1.0, seed=1), data)
         np.testing.assert_array_equal(kept, shorter.D)
+
+
+def test_run_gibbs_sums_dense_columns_over_sweeps(monkeypatch):
+    """dense_fallback_columns sums what sample_codes returns over the
+    sweeps; here every sweep reports two dense columns."""
+    real = gibbs.sample_codes
+
+    def two_dense(state, data):
+        real(state, data)
+        return 2
+
+    monkeypatch.setattr(gibbs, "sample_codes", two_dense)
+    rng = np.random.default_rng(8)
+    data = TrainingSet.from_matrix(rng.standard_normal((3, 8)))
+    _, trace = run_gibbs(ModelConfig(num_atoms=3, iters=6, beta=1.0), data)
+    assert trace.results["dense_fallback_columns"] == 12
 
 
 def test_run_gibbs_stores_only_the_tail_at_image_scale():
@@ -851,7 +884,7 @@ def test_final_kept_dict_is_final_state():
     rng = np.random.default_rng(9)
     data = TrainingSet.from_matrix(rng.standard_normal((3, 8)))
     cfg = ModelConfig(num_atoms=3, iters=7, beta=1.0, seed=2)
-    trace, state = run_gibbs(cfg, data)
+    state, trace = run_gibbs(cfg, data)
     np.testing.assert_array_equal(trace.kept_dicts[-1], state.D)
 
 
@@ -861,11 +894,11 @@ def test_estimate_dictionary_averages_the_kept_samples():
     the mean of every kept sample; a trace with none raises."""
     mats = [np.full((2, 2), float(k)) for k in range(5)]
     np.testing.assert_array_equal(
-        estimate_dictionary(ChainTrace(kept_dicts=mats)), np.full((2, 2), 2.0))
+        estimate_dictionary(Trace(kept_dicts=mats)), np.full((2, 2), 2.0))
     np.testing.assert_array_equal(
-        estimate_dictionary(ChainTrace(kept_dicts=mats[-1:])), mats[-1])
+        estimate_dictionary(Trace(kept_dicts=mats[-1:])), mats[-1])
     with pytest.raises(EmptyTrace, match="^no dictionary samples were kept$"):
-        estimate_dictionary(ChainTrace())
+        estimate_dictionary(Trace())
 
 
 def test_run_gibbs_stops_on_non_finite_state(monkeypatch):
@@ -897,12 +930,12 @@ def residual_ratios(chain_seeds):
     ratios = []
     for seed in chain_seeds:
         cfg = ModelConfig(num_atoms=10, iters=300, beta=1.0, seed=seed)
-        trace, _ = run_gibbs(cfg, data)
-        early = np.mean(trace.residual_per_iter[:5])
-        late = np.mean(trace.residual_per_iter[-5:])
+        _, trace = run_gibbs(cfg, data)
+        residual = trace.columns["residual"]
+        early = np.mean(residual[:5])
+        late = np.mean(residual[-5:])
         assert late < early
-        assert np.median(trace.residual_per_iter[-50:]) < \
-            np.median(trace.residual_per_iter[:50])
+        assert np.median(residual[-50:]) < np.median(residual[:50])
         ratios.append(late / early)
     return np.array(ratios)
 

@@ -879,12 +879,12 @@ def test_run_vb_trace_and_determinism():
     st1, tr1 = run_vb(cfg, data)
     st2, tr2 = run_vb(cfg, data)
     assert tr1.iterations_run == 30
-    assert not tr1.converged
-    assert len(tr1.elbo) == len(tr1.dict_change) == 30
-    assert tr1.jitter_fallback_per_iter == [0] * 30
-    assert tr1.dict_jitter_fallback_per_iter == [0] * 30
+    assert not tr1.results["converged"]
+    assert len(tr1.columns["elbo"]) == len(tr1.columns["dict_change"]) == 30
+    assert tr1.results["jitter_fallback_columns"] == 0
+    assert tr1.results["jitter_fallback_dictionary"] == 0
     np.testing.assert_array_equal(st1.dict_mean, st2.dict_mean)
-    assert tr1.elbo == tr2.elbo
+    assert tr1.columns["elbo"] == tr2.columns["elbo"]
 
 
 def test_run_vb_forms_the_expected_residual_once_per_sweep(monkeypatch):
@@ -906,7 +906,7 @@ def test_run_vb_forms_the_expected_residual_once_per_sweep(monkeypatch):
     monkeypatch.setattr(vb, "compute_elbo", lambda state, data, cfg, resid:
                         compute_elbo(state, data, cfg))
     _, again = run_vb(cfg, data)
-    assert again.elbo == tr.elbo
+    assert again.columns["elbo"] == tr.columns["elbo"]
 
 
 def test_run_vb_converges_with_loose_tol():
@@ -914,9 +914,11 @@ def test_run_vb_converges_with_loose_tol():
     data = TrainingSet.from_matrix(rng.standard_normal((4, 20)))
     cfg = ModelConfig(num_atoms=5, iters=500, tol=1e-3, seed=0, beta=10.0)
     _, tr = run_vb(cfg, data)
-    assert tr.converged
+    assert tr.results["converged"]
     assert tr.iterations_run < 500
-    assert tr.dict_change[-1] < 1e-3
+    assert tr.columns["dict_change"][-1] < 1e-3
+    assert [len(column) for column in tr.columns.values()] == \
+        [tr.iterations_run] * 2
 
 
 def test_run_vb_fits_noiseless_square_system():
